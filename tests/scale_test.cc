@@ -10,13 +10,15 @@
 //    scheduler events per PPDU must not grow with the attached-PHY count.
 // 3. A 100-station scenario smoke, so the dense-cell path is exercised by
 //    the default test suite and not just the opt-in bench.
-// 4. Legacy bit-identity pin: with the propagation layer compiled in but
-//    the fixed-loss default selected, a legacy scenario's outputs must not
-//    move at all — the same invariant the committed BENCH artifacts carry,
-//    but enforced inside the default test suite.
+// 4. Legacy bit-identity pins: with the propagation layer compiled in but
+//    the fixed-loss default selected, one small cell per flow-wiring branch
+//    must not move at all — the same invariant the committed BENCH
+//    artifacts carry, but enforced inside the default test suite.
 // 5. Hidden-terminal behaviour: plain DCF loses most of its goodput to
 //    hidden collisions on the two-cluster topology; RTS/CTS recovers it.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "src/scenario/download_scenario.h"
 
@@ -158,27 +160,122 @@ TEST(NavProbeEquivalenceTest, DenseUplinkRtsCell) {
   ExpectProbeModesEquivalent(c);
 }
 
-TEST(LegacyBitIdentityPin, FixedLossScenarioOutputsPinned) {
-  // Golden values recorded when the propagation layer landed; the run is
-  // fully deterministic from (config, seed), so any drift here means the
-  // fixed-loss default stopped being the legacy channel bit-for-bit (the
-  // same regression the committed BENCH_scale.json goodputs would show).
-  ScenarioResult r =
-      RunScenario(BaseConfig(3, TransportProto::kTcp, HackVariant::kMoreData));
-  EXPECT_EQ(r.airtime.ppdus, 901u);
-  EXPECT_EQ(r.aggregate_goodput_mbps, 116.30534609523809);
+// One small fixed-loss cell per flow-wiring branch of RunScenario: each
+// direction of each source kind, the background mix flow on TCP downloads,
+// and the fault engine's stop/resume/late-start paths. The run is fully
+// deterministic from (config, seed), so any drift here means the wiring
+// (or the fixed-loss default channel) stopped being bit-for-bit the same
+// — the regression the committed BENCH_scale.json goodputs would show.
+struct WiringPin {
+  const char* name;
+  ScenarioConfig (*config)();
+  uint64_t ppdus;
+  uint64_t events;
+  double goodput_mbps;
+};
+
+const std::vector<TrafficMixEntry> kPinMix = {
+    {TrafficModel::kParetoWeb, 0.5},
+    {TrafficModel::kOnOffVideo, 0.25},
+    {TrafficModel::kCbrVoice, 0.25}};
+
+ScenarioConfig UdpPinConfig(bool upload) {
+  ScenarioConfig c = BaseConfig(4, TransportProto::kUdp, HackVariant::kOff);
+  c.upload = upload;
+  c.duration = SimTime::Millis(300);
+  return c;
+}
+
+ScenarioConfig TcpMixEdcaPinConfig() {
+  ScenarioConfig c =
+      BaseConfig(3, TransportProto::kTcp, HackVariant::kMoreData);
+  c.edca_enabled = true;
+  c.traffic_mix = kPinMix;
+  return c;
+}
+
+const WiringPin kWiringPins[] = {
+    {"TcpHackDownload",
+     [] {
+       return BaseConfig(3, TransportProto::kTcp, HackVariant::kMoreData);
+     },
+     901, 38067, 116.30534609523809},
+    {"UdpCbrDownload", [] { return UdpPinConfig(false); }, 487, 17718,
+     119.60490666666666},
+    {"UdpCbrUploadBurst16ms",
+     [] {
+       ScenarioConfig c = UdpPinConfig(true);
+       c.udp_burst_window = SimTime::Millis(16);
+       return c;
+     },
+     188, 6823, 105.12042666666667},
+    {"UdpMixDownload",
+     [] {
+       ScenarioConfig c = UdpPinConfig(false);
+       c.traffic_mix = kPinMix;
+       return c;
+     },
+     162, 1382, 2.5151733333333333},
+    {"UdpMixUpload",
+     [] {
+       ScenarioConfig c = UdpPinConfig(true);
+       c.traffic_mix = kPinMix;
+       return c;
+     },
+     156, 1340, 2.5151733333333333},
+    {"TcpHackUploadLossy",
+     [] {
+       ScenarioConfig c =
+           BaseConfig(3, TransportProto::kTcp, HackVariant::kMoreData);
+       c.upload = true;
+       c.clients.resize(3);
+       for (ClientSpec& spec : c.clients) {
+         spec.bernoulli_data_loss = 0.05;
+       }
+       return c;
+     },
+     669, 27127, 118.5753820952381},
+    {"TcpMixDownloadEdca", TcpMixEdcaPinConfig, 961, 38783,
+     119.83673466666667},
+    {"TcpMixDownloadEdcaFaults",
+     [] {
+       // Station 1 starts absent (its first event is a join); station 2
+       // crashes and rejoins.
+       ScenarioConfig c = TcpMixEdcaPinConfig();
+       c.fault_plan = *FaultPlan::Parse(
+           "crash@200000us:2;join@300000us:1;join@500000us:2");
+       return c;
+     },
+     994, 35236, 111.92463238095237},
+};
+
+class WiringPinTest : public ::testing::TestWithParam<WiringPin> {};
+
+TEST_P(WiringPinTest, OutputsPinned) {
+  const WiringPin& pin = GetParam();
+  ScenarioResult r = RunScenario(pin.config());
+  EXPECT_EQ(r.airtime.ppdus, pin.ppdus);
+  EXPECT_EQ(r.events_executed, pin.events);
+  EXPECT_EQ(r.aggregate_goodput_mbps, pin.goodput_mbps);
+  EXPECT_EQ(r.crc_failures, 0u);
   EXPECT_EQ(r.airtime.out_of_range, 0u);
   EXPECT_EQ(r.ap_phy.captures, 0u);
   EXPECT_EQ(r.ap_phy.overlap_losses, 0u);
 }
 
+INSTANTIATE_TEST_SUITE_P(
+    LegacyBitIdentityPin, WiringPinTest, ::testing::ValuesIn(kWiringPins),
+    [](const ::testing::TestParamInfo<WiringPin>& info) {
+      return std::string(info.param.name);
+    });
+
 TEST(LegacyBitIdentityPin, FaultMachineryOffStillHitsTheGoldenValues) {
   // The fault-injection engine and the liveness watchdog must be free when
   // unused: an empty plan installs no loss gates, draws nothing from any
   // RNG stream, and leaves flow wiring untouched; the watchdog only adds
-  // its own kOther audit events. Same golden values as above — if this
-  // drifts while the test above still passes, the fault plumbing itself
-  // perturbed the legacy path.
+  // its own kOther audit events. Same golden values as the TcpHackDownload
+  // pin above — if this drifts while that pin still passes, the fault
+  // plumbing itself perturbed the legacy path.
   ScenarioConfig c =
       BaseConfig(3, TransportProto::kTcp, HackVariant::kMoreData);
   c.fault_plan = FaultPlan{};  // explicitly empty
