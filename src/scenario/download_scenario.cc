@@ -716,8 +716,10 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
     if (config.proto == TransportProto::kUdp) {
       cr.bytes_delivered = ep.udp_sink->bytes_received();
       cr.goodput_mbps = ep.udp_sink->tracker().TotalGoodputMbps(end);
-      cr.steady_goodput_mbps =
-          ep.udp_sink->tracker().GoodputMbps(steady_from, end);
+      if (steady_from < end) {
+        cr.steady_goodput_mbps =
+            ep.udp_sink->tracker().GoodputMbps(steady_from, end);
+      }
     } else {
       SimTime measure_end = ep.completion.IsZero() ? end : ep.completion;
       cr.goodput_mbps = static_cast<double>(cr.bytes_delivered) * 8.0 /

@@ -145,6 +145,23 @@ TEST(IntegrationTest, UdpUnaffectedByClientCount) {
   EXPECT_GT(one, 125.0);  // near the 135 Mbps capacity bound
 }
 
+TEST(IntegrationTest, ZeroLengthUdpRunDeliversNothing) {
+  // The steady-goodput window collapses to [0, 0]; the run must report
+  // zeros in both directions rather than trip the tracker's from < to.
+  for (bool upload : {false, true}) {
+    ScenarioConfig c = BaseN(HackVariant::kOff, 2);
+    c.proto = TransportProto::kUdp;
+    c.upload = upload;
+    c.duration = SimTime::Zero();
+    ScenarioResult r = RunScenario(c);
+    EXPECT_EQ(r.aggregate_goodput_mbps, 0.0) << "upload=" << upload;
+    EXPECT_EQ(r.steady_aggregate_goodput_mbps, 0.0) << "upload=" << upload;
+    for (const ClientResult& cr : r.clients) {
+      EXPECT_EQ(cr.bytes_delivered, 0u) << "upload=" << upload;
+    }
+  }
+}
+
 TEST(IntegrationTest, MoreDataCompetitiveWithOpportunistic) {
   // Fig 10 comparison at 2 clients. In the paper MORE DATA clearly beats
   // the opportunistic variant; in our reproduction the two are close at
