@@ -14,12 +14,27 @@ namespace {
 constexpr uint16_t kServerPortBase = 5000;
 constexpr uint16_t kClientPortBase = 6000;
 
+// Two-cluster hidden-terminal geometry: AP <-> cluster centre, and the
+// extent of each cluster's station grid.
+constexpr double kClusterDistanceM = 20.0;
+constexpr double kClusterSpreadM = 4.0;
+
+// Everything one client owns, wherever the flow's ends sit: the client's
+// node and radio, and its flow — a UDP sink plus one source, or a TCP
+// sender/receiver pair (plus the background traffic-mix source and its
+// sink on TCP downloads). The fault engine and the result collection read
+// one record per client.
 struct ClientEndpoint {
   std::unique_ptr<Node> node;
   std::unique_ptr<WifiNetDevice> device;
-  std::unique_ptr<TcpReceiver> tcp_rx;
-  std::unique_ptr<TcpSender> tcp_tx;
   std::unique_ptr<UdpSink> udp_sink;
+  std::unique_ptr<UdpCbrSource> udp_source;
+  std::unique_ptr<TrafficSource> traffic_source;
+  std::unique_ptr<TcpSender> tcp_tx;
+  std::unique_ptr<TcpReceiver> tcp_rx;
+  // The flow's sources were started (or scheduled to start). A station
+  // that begins absent starts its TCP sender at its first join.
+  bool started = false;
   GoodputTracker tracker;
   SimTime completion;
   // Jitter chain for the TCP data path (mirrors UdpSink's: consecutive
@@ -63,11 +78,11 @@ Position PlaceClient(const ScenarioConfig& config, const ClientSpec& spec,
       int per_cluster = (config.n_clients + 1 - cluster) / 2;
       int k = static_cast<int>(
           std::ceil(std::sqrt(static_cast<double>(per_cluster))));
-      double step = k > 1 ? config.cluster_spread_m / (k - 1) : 0.0;
-      double half = config.cluster_spread_m / 2.0;
+      double step = k > 1 ? kClusterSpreadM / (k - 1) : 0.0;
+      double half = kClusterSpreadM / 2.0;
       double ox = k > 1 ? (j % k) * step - half : 0.0;
       double oy = k > 1 ? (j / k) * step - half : 0.0;
-      return Position{sign * config.cluster_distance_m + ox, oy};
+      return Position{sign * kClusterDistanceM + ox, oy};
     }
   }
   return Position{};
@@ -95,10 +110,7 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
 
   // --- channel / wired link ----------------------------------------------------
   WirelessChannel channel(&scheduler, config.channel_delivery);
-  PointToPointLink::Config wired_cfg;
-  wired_cfg.rate_bps = config.wired_rate_bps;
-  wired_cfg.delay = config.wired_delay;
-  PointToPointLink wired(&scheduler, wired_cfg);
+  PointToPointLink wired(&scheduler, PointToPointLink::Config{});
 
   // --- MAC configs ----------------------------------------------------------------
   WifiMacConfig ap_mac_cfg;
@@ -111,7 +123,6 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
   ap_mac_cfg.extra_ack_timeout = config.extra_ack_timeout;
   ap_mac_cfg.rts_threshold = config.rts_threshold;
   ap_mac_cfg.legacy_nav_probe_events = config.legacy_nav_probe_events;
-  ap_mac_cfg.enable_cf_end = config.enable_cf_end;
   ap_mac_cfg.edca_enabled = config.edca_enabled;
   ap_mac_cfg.enable_rate_adaptation = config.rate_adaptation;
   ap_mac_cfg.rate_adapt = config.rate_adapt;
@@ -157,10 +168,6 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
   }
 
   std::vector<ClientEndpoint> clients(config.n_clients);
-  std::vector<std::unique_ptr<TcpSender>> server_senders;
-  std::vector<std::unique_ptr<TcpReceiver>> server_receivers;
-  std::vector<std::unique_ptr<UdpCbrSource>> udp_sources;
-  std::vector<std::unique_ptr<TrafficSource>> traffic_sources;
   // Enqueue→delivery latency over every UDP sink, keyed by each packet's
   // DSCP-derived AC. Pure recording (no events, no RNG), so wiring it
   // unconditionally cannot perturb legacy runs.
@@ -281,234 +288,127 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
   }
 
   // --- flows ------------------------------------------------------------------------
-  // Per-client handles the fault engine drives: the UDP source (stopped on
-  // crash, resumed on join) or the TCP sender (started late for stations
-  // that begin absent; established senders just ride out the outage on
-  // their own retransmit timers).
-  std::vector<UdpCbrSource*> client_udp_src(
-      static_cast<size_t>(config.n_clients), nullptr);
-  std::vector<TrafficSource*> client_traffic_src(
-      static_cast<size_t>(config.n_clients), nullptr);
-  std::vector<TcpSender*> client_tcp_src(
-      static_cast<size_t>(config.n_clients), nullptr);
-  std::vector<char> flow_started(static_cast<size_t>(config.n_clients), 0);
+  // One wiring path for both directions and every source kind. The
+  // direction picks the sending node, the receiving node and the
+  // five-tuple; HACK's symmetry (§3.1) means nothing else changes. The
+  // protocol then adds a UDP sink plus one source, or a TCP sender/receiver
+  // pair. The fault engine stops and resumes the UDP sources; a TCP sender
+  // is started late for a station that begins absent, and an established
+  // one rides out an outage on its own retransmit timers.
+  auto send_via = [](Node* node) {
+    return [node](Packet p) { node->Send(std::move(p)); };
+  };
+  auto add_sink = [&](ClientEndpoint& ep, Node* node, uint16_t port) {
+    ep.udp_sink = std::make_unique<UdpSink>(&scheduler);
+    ep.udp_sink->set_latency_recorder(&latency);
+    node->RegisterHandler(port, [sink = ep.udp_sink.get()](const Packet& p) {
+      sink->OnPacket(p);
+    });
+  };
+  // Traffic zoo: one modelled flow for station i. Per-flow seeds live in a
+  // dedicated DeriveRunSeed index namespace (`seed_base` + i), so they can
+  // never collide with campaign run indices derived from the same base
+  // seed.
+  auto make_traffic_source = [&](int i, uint64_t seed_base, FiveTuple flow,
+                                 Node* from) {
+    TrafficSource::Config src_cfg;
+    src_cfg.model = ModelForStation(config.traffic_mix,
+                                    static_cast<size_t>(i),
+                                    static_cast<size_t>(config.n_clients));
+    src_cfg.start = specs[i].start_offset;
+    src_cfg.stop = config.duration;
+    src_cfg.seed =
+        DeriveRunSeed(config.seed, seed_base + static_cast<uint64_t>(i));
+    src_cfg.rate_scale = config.traffic_rate_scale;
+    return std::make_unique<TrafficSource>(&scheduler, src_cfg, flow,
+                                           send_via(from));
+  };
+  const bool udp = config.proto == TransportProto::kUdp;
   int completed = 0;
   for (int i = 0; i < config.n_clients; ++i) {
     ClientEndpoint& ep = clients[i];
     uint16_t server_port = static_cast<uint16_t>(kServerPortBase + i);
     uint16_t client_port = static_cast<uint16_t>(kClientPortBase + i);
+    uint8_t ip_proto = udp ? kIpProtoUdp : kIpProtoTcp;
+    Node* src = config.upload ? ep.node.get() : server_node.get();
+    Node* dst = config.upload ? server_node.get() : ep.node.get();
+    FiveTuple flow =
+        config.upload
+            ? FiveTuple{client_ip(i), server_ip, client_port, server_port,
+                        ip_proto}
+            : FiveTuple{server_ip, client_ip(i), server_port, client_port,
+                        ip_proto};
 
-    if (config.proto == TransportProto::kUdp && !config.traffic_mix.empty()) {
-      // Traffic zoo: one modelled flow per client in place of the uniform
-      // CBR source. Per-flow seeds live in a dedicated DeriveRunSeed index
-      // namespace (2^32 + i), so they can never collide with campaign run
-      // indices derived from the same base seed.
-      TrafficSource::Config src_cfg;
-      src_cfg.model = ModelForStation(config.traffic_mix,
-                                      static_cast<size_t>(i),
-                                      static_cast<size_t>(config.n_clients));
-      src_cfg.start = specs[i].start_offset;
-      src_cfg.stop = config.duration;
-      src_cfg.seed = DeriveRunSeed(config.seed,
-                                   (uint64_t{1} << 32) +
-                                       static_cast<uint64_t>(i));
-      src_cfg.rate_scale = config.traffic_rate_scale;
-      ep.udp_sink = std::make_unique<UdpSink>(&scheduler);
-      ep.udp_sink->set_latency_recorder(&latency);
-      std::unique_ptr<TrafficSource> source;
-      if (!config.upload) {
-        FiveTuple flow{server_ip, client_ip(i), server_port, client_port,
-                       kIpProtoUdp};
-        source = std::make_unique<TrafficSource>(
-            &scheduler, src_cfg, flow,
-            [node = server_node.get()](Packet p) {
-              node->Send(std::move(p));
-            });
-        ep.node->RegisterHandler(client_port,
-                                 [sink = ep.udp_sink.get()](const Packet& p) {
-                                   sink->OnPacket(p);
-                                 });
+    if (udp) {
+      // On uploads every client contends for the medium — the dense-cell
+      // collision workload RTS/CTS exists for.
+      add_sink(ep, dst, flow.dst_port);
+      if (config.traffic_mix.empty()) {
+        UdpCbrSource::Config src_cfg;
+        src_cfg.rate_bps = config.udp_rate_bps / config.n_clients;
+        src_cfg.payload_bytes = config.udp_payload_bytes;
+        src_cfg.start = specs[i].start_offset;
+        src_cfg.stop = config.duration;
+        src_cfg.burst_window = config.udp_burst_window;
+        ep.udp_source = std::make_unique<UdpCbrSource>(&scheduler, src_cfg,
+                                                       flow, send_via(src));
       } else {
-        FiveTuple flow{client_ip(i), server_ip, client_port, server_port,
-                       kIpProtoUdp};
-        source = std::make_unique<TrafficSource>(
-            &scheduler, src_cfg, flow,
-            [node = ep.node.get()](Packet p) { node->Send(std::move(p)); });
-        server_node->RegisterHandler(
-            server_port, [sink = ep.udp_sink.get()](const Packet& p) {
-              sink->OnPacket(p);
-            });
+        ep.traffic_source =
+            make_traffic_source(i, uint64_t{1} << 32, flow, src);
       }
-      client_traffic_src[static_cast<size_t>(i)] = source.get();
-      if (present[static_cast<size_t>(i)]) {
-        source->Start();
-        flow_started[static_cast<size_t>(i)] = 1;
+    } else {
+      if (!config.traffic_mix.empty() && !config.upload) {
+        // TCP + traffic mix: the TCP download stays the measured
+        // foreground, and each station additionally sinks one modelled
+        // background flow from the AP side — the HACK-vs-EDCA interaction
+        // workload (compressed-ACK batches contending with tagged
+        // voice/video). Background flows live in their own port range
+        // (7000+i) and seed namespace (2^33 + i), so neither the TCP ports
+        // nor the UDP-mix seed streams can collide.
+        uint16_t bg_port = static_cast<uint16_t>(7000 + i);
+        add_sink(ep, ep.node.get(), bg_port);
+        ep.traffic_source = make_traffic_source(
+            i, uint64_t{1} << 33,
+            FiveTuple{server_ip, client_ip(i), bg_port, bg_port, kIpProtoUdp},
+            server_node.get());
       }
-      traffic_sources.push_back(std::move(source));
-      continue;
-    }
-
-    if (config.proto == TransportProto::kUdp) {
-      UdpCbrSource::Config src_cfg;
-      src_cfg.rate_bps = config.udp_rate_bps / config.n_clients;
-      src_cfg.payload_bytes = config.udp_payload_bytes;
-      src_cfg.start = specs[i].start_offset;
-      src_cfg.stop = config.duration;
-      src_cfg.burst_window = config.udp_burst_window;
-      if (!config.upload) {
-        FiveTuple flow{server_ip, client_ip(i), server_port, client_port,
-                       kIpProtoUdp};
-        auto source = std::make_unique<UdpCbrSource>(
-            &scheduler, src_cfg, flow,
-            [node = server_node.get()](Packet p) {
-              node->Send(std::move(p));
-            });
-        ep.udp_sink = std::make_unique<UdpSink>(&scheduler);
-        ep.udp_sink->set_latency_recorder(&latency);
-        ep.node->RegisterHandler(client_port,
-                                 [sink = ep.udp_sink.get()](const Packet& p) {
-                                   sink->OnPacket(p);
-                                 });
-        client_udp_src[static_cast<size_t>(i)] = source.get();
-        if (present[static_cast<size_t>(i)]) {
-          source->Start();
-          flow_started[static_cast<size_t>(i)] = 1;
-        }
-        udp_sources.push_back(std::move(source));
-      } else {
-        // Uplink CBR: every client contends for the medium — the dense-cell
-        // collision workload RTS/CTS exists for. The per-flow sink lives at
-        // the server; it stays owned by the client endpoint so collection
-        // is uniform across directions.
-        FiveTuple flow{client_ip(i), server_ip, client_port, server_port,
-                       kIpProtoUdp};
-        auto source = std::make_unique<UdpCbrSource>(
-            &scheduler, src_cfg, flow,
-            [node = ep.node.get()](Packet p) { node->Send(std::move(p)); });
-        ep.udp_sink = std::make_unique<UdpSink>(&scheduler);
-        ep.udp_sink->set_latency_recorder(&latency);
-        server_node->RegisterHandler(
-            server_port, [sink = ep.udp_sink.get()](const Packet& p) {
-              sink->OnPacket(p);
-            });
-        client_udp_src[static_cast<size_t>(i)] = source.get();
-        if (present[static_cast<size_t>(i)]) {
-          source->Start();
-          flow_started[static_cast<size_t>(i)] = 1;
-        }
-        udp_sources.push_back(std::move(source));
-      }
-      continue;
-    }
-
-    if (!config.traffic_mix.empty() && !config.upload) {
-      // TCP + traffic mix: the TCP download keeps running, and each station
-      // additionally sinks one modelled background flow from the AP side —
-      // the HACK-vs-EDCA interaction workload (compressed-ACK batches
-      // contending with tagged voice/video). Background flows live in their
-      // own port range (7000+i) and DeriveRunSeed namespace (2^33 + i), so
-      // neither the TCP ports nor the UDP-mix seed streams can collide.
-      TrafficSource::Config src_cfg;
-      src_cfg.model = ModelForStation(config.traffic_mix,
-                                      static_cast<size_t>(i),
-                                      static_cast<size_t>(config.n_clients));
-      src_cfg.start = specs[i].start_offset;
-      src_cfg.stop = config.duration;
-      src_cfg.seed = DeriveRunSeed(config.seed,
-                                   (uint64_t{1} << 33) +
-                                       static_cast<uint64_t>(i));
-      src_cfg.rate_scale = config.traffic_rate_scale;
-      uint16_t bg_port = static_cast<uint16_t>(7000 + i);
-      FiveTuple bg_flow{server_ip, client_ip(i), bg_port, bg_port,
-                        kIpProtoUdp};
-      auto source = std::make_unique<TrafficSource>(
-          &scheduler, src_cfg, bg_flow,
-          [node = server_node.get()](Packet p) { node->Send(std::move(p)); });
-      ep.udp_sink = std::make_unique<UdpSink>(&scheduler);
-      ep.udp_sink->set_latency_recorder(&latency);
-      ep.node->RegisterHandler(bg_port,
-                               [sink = ep.udp_sink.get()](const Packet& p) {
-                                 sink->OnPacket(p);
-                               });
-      client_traffic_src[static_cast<size_t>(i)] = source.get();
-      if (present[static_cast<size_t>(i)]) {
-        source->Start();
-      }
-      traffic_sources.push_back(std::move(source));
-      // Fall through: the TCP flow below is still the measured foreground.
-      // (flow_started tracks the TCP sender; background sources ride the
-      // fault engine's Stop/Resume independently.)
-    }
-
-    // TCP flow; direction depends on upload/download.
-    if (!config.upload) {
-      FiveTuple flow{server_ip, client_ip(i), server_port, client_port,
-                     kIpProtoTcp};
-      auto sender = std::make_unique<TcpSender>(
-          &scheduler, config.tcp, flow,
-          [node = server_node.get()](Packet p) { node->Send(std::move(p)); },
-          config.file_bytes);
-      ep.tcp_rx = std::make_unique<TcpReceiver>(
-          &scheduler, config.tcp, flow,
-          [node = ep.node.get()](Packet p) { node->Send(std::move(p)); });
+      ep.tcp_tx = std::make_unique<TcpSender>(
+          &scheduler, config.tcp, flow, send_via(src), config.file_bytes);
+      ep.tcp_rx = std::make_unique<TcpReceiver>(&scheduler, config.tcp, flow,
+                                                send_via(dst));
       ep.tcp_rx->on_data = [&ep, &scheduler](uint64_t bytes) {
         ep.tracker.OnBytesDelivered(scheduler.Now(), bytes);
       };
-      ep.node->RegisterHandler(
-          client_port,
+      dst->RegisterHandler(
+          flow.dst_port,
           [rx = ep.tcp_rx.get(), &ep, &record_tcp_latency](const Packet& p) {
             record_tcp_latency(ep, p);
             rx->OnPacket(p);
           });
-      server_node->RegisterHandler(server_port,
-                                   [tx = sender.get()](const Packet& p) {
-                                     tx->OnPacket(p);
-                                   });
-      sender->on_complete = [&ep, &scheduler, &completed]() {
-        ep.completion = scheduler.Now();
-        ++completed;
-      };
-      client_tcp_src[static_cast<size_t>(i)] = sender.get();
-      if (present[static_cast<size_t>(i)]) {
-        scheduler.ScheduleAt(specs[i].start_offset,
-                             [tx = sender.get()]() { tx->Start(); });
-        flow_started[static_cast<size_t>(i)] = 1;
-      }
-      server_senders.push_back(std::move(sender));
-    } else {
-      FiveTuple flow{client_ip(i), server_ip, client_port, server_port,
-                     kIpProtoTcp};
-      ep.tcp_tx = std::make_unique<TcpSender>(
-          &scheduler, config.tcp, flow,
-          [node = ep.node.get()](Packet p) { node->Send(std::move(p)); },
-          config.file_bytes);
-      auto receiver = std::make_unique<TcpReceiver>(
-          &scheduler, config.tcp, flow,
-          [node = server_node.get()](Packet p) { node->Send(std::move(p)); });
-      receiver->on_data = [&ep, &scheduler](uint64_t bytes) {
-        ep.tracker.OnBytesDelivered(scheduler.Now(), bytes);
-      };
-      server_node->RegisterHandler(
-          server_port,
-          [rx = receiver.get(), &ep, &record_tcp_latency](const Packet& p) {
-            record_tcp_latency(ep, p);
-            rx->OnPacket(p);
-          });
-      ep.node->RegisterHandler(client_port,
-                               [tx = ep.tcp_tx.get()](const Packet& p) {
-                                 tx->OnPacket(p);
-                               });
+      src->RegisterHandler(flow.src_port,
+                           [tx = ep.tcp_tx.get()](const Packet& p) {
+                             tx->OnPacket(p);
+                           });
       ep.tcp_tx->on_complete = [&ep, &scheduler, &completed]() {
         ep.completion = scheduler.Now();
         ++completed;
       };
-      client_tcp_src[static_cast<size_t>(i)] = ep.tcp_tx.get();
-      if (present[static_cast<size_t>(i)]) {
+    }
+
+    if (present[static_cast<size_t>(i)]) {
+      // A TCP+mix station starts its background source first, then its
+      // TCP flow.
+      if (ep.udp_source != nullptr) {
+        ep.udp_source->Start();
+      }
+      if (ep.traffic_source != nullptr) {
+        ep.traffic_source->Start();
+      }
+      if (ep.tcp_tx != nullptr) {
         scheduler.ScheduleAt(specs[i].start_offset,
                              [tx = ep.tcp_tx.get()]() { tx->Start(); });
-        flow_started[static_cast<size_t>(i)] = 1;
       }
-      server_receivers.push_back(std::move(receiver));
+      ep.started = true;
     }
   }
 
@@ -519,8 +419,7 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
                               : "hidden";
   std::string repro =
       "seed=" + std::to_string(config.seed) + " topo=" + topo_name +
-      " proto=" +
-      std::string(config.proto == TransportProto::kUdp ? "udp" : "tcp") +
+      " proto=" + std::string(udp ? "udp" : "tcp") +
       (config.upload ? "-up" : "") +
       " n=" + std::to_string(config.n_clients) +
       " dur_us=" + std::to_string(config.duration.ns() / 1000);
@@ -550,11 +449,11 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
             // feeding the dead-peer flush).
             ++fault_stats.crashes;
           }
-          if (client_udp_src[s] != nullptr) {
-            client_udp_src[s]->Stop();
+          if (clients[s].udp_source != nullptr) {
+            clients[s].udp_source->Stop();
           }
-          if (client_traffic_src[s] != nullptr) {
-            client_traffic_src[s]->Stop();
+          if (clients[s].traffic_source != nullptr) {
+            clients[s].traffic_source->Stop();
           }
           clients[s].device->phy().SetRadioOn(false);
           clients[s].device->mac().ResetRadioState();
@@ -573,18 +472,18 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
           clients[s].device->mac().Associate(ap_mac_addr);
           // Independent ifs, not an else-chain: a TCP+mix station owns both
           // a background TrafficSource (resumed) and a TCP sender (started
-          // once). For legacy configs the source kinds are mutually
-          // exclusive, so this is the same sequence of calls as before.
-          if (client_udp_src[s] != nullptr) {
-            client_udp_src[s]->Resume(scheduler.Now(), config.duration);
+          // once).
+          ClientEndpoint& ep = clients[s];
+          if (ep.udp_source != nullptr) {
+            ep.udp_source->Resume(scheduler.Now(), config.duration);
           }
-          if (client_traffic_src[s] != nullptr) {
-            client_traffic_src[s]->Resume(scheduler.Now(), config.duration);
+          if (ep.traffic_source != nullptr) {
+            ep.traffic_source->Resume(scheduler.Now(), config.duration);
           }
-          if (client_tcp_src[s] != nullptr && !flow_started[s]) {
-            client_tcp_src[s]->Start();
+          if (ep.tcp_tx != nullptr && !ep.started) {
+            ep.tcp_tx->Start();
           }
-          flow_started[s] = 1;
+          ep.started = true;
           break;
         }
         case FaultType::kRadioReset: {
@@ -672,7 +571,7 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
 
   // --- run ----------------------------------------------------------------------------
   SimTime end;
-  if (config.file_bytes > 0 && config.proto == TransportProto::kTcp) {
+  if (config.file_bytes > 0 && !udp) {
     // Run until all transfers complete (bounded by a generous cap).
     SimTime cap = config.duration * 50;
     while (completed < config.n_clients && scheduler.Now() < cap) {
@@ -709,28 +608,39 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
     steady_from = SimTime::Nanos(end.ns() / 2);
   }
 
+  // Recovery goodput: aggregate strictly after the plan's last recovery
+  // event (the churn/outage bench gates this against the fault-free row).
+  SimTime recovery = fault_stats.last_recovery_time;
+  const bool after_recovery = !recovery.IsZero() && recovery < end;
+
   for (int i = 0; i < config.n_clients; ++i) {
     ClientEndpoint& ep = clients[i];
     ClientResult cr;
-    cr.bytes_delivered = ep.tracker.total_bytes();
-    if (config.proto == TransportProto::kUdp) {
-      cr.bytes_delivered = ep.udp_sink->bytes_received();
-      cr.goodput_mbps = ep.udp_sink->tracker().TotalGoodputMbps(end);
-      if (steady_from < end) {
-        cr.steady_goodput_mbps =
-            ep.udp_sink->tracker().GoodputMbps(steady_from, end);
-      }
+    // UDP flows count at their sink, TCP flows at the receiver's on_data.
+    const GoodputTracker& tracker = udp ? ep.udp_sink->tracker() : ep.tracker;
+    cr.bytes_delivered = tracker.total_bytes();
+    // A file transfer measures up to its completion; everything else runs
+    // to the end.
+    SimTime measure_end = ep.completion.IsZero() ? end : ep.completion;
+    if (udp) {
+      cr.goodput_mbps = tracker.TotalGoodputMbps(end);
     } else {
-      SimTime measure_end = ep.completion.IsZero() ? end : ep.completion;
       cr.goodput_mbps = static_cast<double>(cr.bytes_delivered) * 8.0 /
                         std::max<int64_t>(1, (measure_end -
                                               specs[i].start_offset).ns()) *
                         1e9 / 1e6;
-      if (steady_from < measure_end) {
-        cr.steady_goodput_mbps =
-            ep.tracker.GoodputMbps(steady_from, measure_end);
-      }
       cr.completion_time = ep.completion;
+      // ClientResult carries the client's own TCP end: the receiver on
+      // downloads, the sender on uploads. Timeouts count every sender.
+      if (config.upload) {
+        cr.tcp_tx = ep.tcp_tx->stats();
+      } else {
+        cr.tcp_rx = ep.tcp_rx->stats();
+      }
+      result.tcp_timeouts += ep.tcp_tx->stats().timeouts;
+    }
+    if (steady_from < measure_end) {
+      cr.steady_goodput_mbps = tracker.GoodputMbps(steady_from, measure_end);
     }
     cr.mac = ep.device->mac().stats();
     cr.phy = ep.device->phy().stats();
@@ -738,23 +648,12 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
       cr.hack = ep.device->hack()->stats();
       result.crc_failures += cr.hack.crc_failures_at_ap;
     }
-    if (ep.tcp_rx != nullptr) {
-      cr.tcp_rx = ep.tcp_rx->stats();
-    }
-    if (ep.tcp_tx != nullptr) {
-      cr.tcp_tx = ep.tcp_tx->stats();
-    }
     result.aggregate_goodput_mbps += cr.goodput_mbps;
     result.steady_aggregate_goodput_mbps += cr.steady_goodput_mbps;
-    result.clients.push_back(std::move(cr));
-  }
-  for (const auto& s : server_senders) {
-    result.tcp_timeouts += s->stats().timeouts;
-  }
-  for (int i = 0; i < config.n_clients; ++i) {
-    if (clients[i].tcp_tx != nullptr) {
-      result.tcp_timeouts += clients[i].tcp_tx->stats().timeouts;
+    if (after_recovery) {
+      result.post_fault_goodput_mbps += tracker.GoodputMbps(recovery, end);
     }
+    result.clients.push_back(std::move(cr));
   }
 
   result.fault = fault_stats;
@@ -762,18 +661,6 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
   result.final_pending_events = scheduler.pending_events();
   for (uint8_t ac = 0; ac < kNumAcs; ++ac) {
     result.ac_latency[ac] = latency.Summarize(ac);
-  }
-  // Recovery goodput: aggregate strictly after the plan's last recovery
-  // event (the churn/outage bench gates this against the fault-free row).
-  SimTime recovery = fault_stats.last_recovery_time;
-  if (!recovery.IsZero() && recovery < end) {
-    for (int i = 0; i < config.n_clients; ++i) {
-      const GoodputTracker& tracker =
-          config.proto == TransportProto::kUdp
-              ? clients[i].udp_sink->tracker()
-              : clients[i].tracker;
-      result.post_fault_goodput_mbps += tracker.GoodputMbps(recovery, end);
-    }
   }
   return result;
 }

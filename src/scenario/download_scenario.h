@@ -38,10 +38,9 @@ enum class TransportProto { kTcp, kUdp };
 //   kUniformDisk      — clients uniform over a disk of cell_radius_m around
 //                       the AP; random hidden pairs and capture asymmetry.
 //   kTwoClusterHidden — the classic hidden-terminal topology: two dense
-//                       clusters cluster_distance_m either side of the AP,
-//                       each in range of the AP, out of range of each other.
-//                       Client i joins cluster i % 2, on a deterministic
-//                       grid of extent cluster_spread_m.
+//                       clusters 20 m either side of the AP, each in range
+//                       of the AP, out of range of each other. Client i
+//                       joins cluster i % 2, on a deterministic 4 m grid.
 enum class Topology { kRing, kUniformDisk, kTwoClusterHidden };
 
 struct ClientSpec {
@@ -80,9 +79,6 @@ struct ScenarioConfig {
   // effects, §4.3).
   SimTime start_stagger = SimTime::Millis(250);
 
-  double wired_rate_bps = 500e6;
-  SimTime wired_delay = SimTime::Millis(1);
-
   // Paper §4.3: 126-packet AP queue per flow.
   size_t ap_queue_per_client = 126;
   SimTime txop_limit = SimTime::Millis(4);
@@ -97,9 +93,7 @@ struct ScenarioConfig {
   // (default) keeps the legacy fixed-loss broadcast medium bit-identical.
   std::optional<LogDistancePropagation::Params> propagation;
   Topology topology = Topology::kRing;
-  double cell_radius_m = 20.0;       // kUniformDisk
-  double cluster_distance_m = 20.0;  // kTwoClusterHidden: AP <-> cluster center
-  double cluster_spread_m = 4.0;     // kTwoClusterHidden: grid extent
+  double cell_radius_m = 20.0;  // kUniformDisk
 
   // SoRa quirks (§4.1).
   SimTime extra_ack_delay;
@@ -134,8 +128,6 @@ struct ScenarioConfig {
   // instead of the default coalesced provisional deadline. Only the
   // equivalence tests should turn this on — see WifiMacConfig.
   bool legacy_nav_probe_events = false;
-  // CF-End truncation after CTS timeouts on every MAC (WifiMacConfig).
-  bool enable_cf_end = false;
 
   HackAgentConfig hack_config;  // variant is overwritten from `hack`
   uint64_t seed = 1;
