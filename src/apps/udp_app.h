@@ -14,6 +14,11 @@ namespace hacksim {
 
 class UdpCbrSource {
  public:
+  // Cap on packets released per refill in bucket mode (bounds the burst a
+  // single event injects into the MAC queue; the window shrinks to
+  // cap * interval).
+  static constexpr uint32_t kMaxBurstPackets = 64;
+
   struct Config {
     double rate_bps = 200e6;     // offered load (saturating by default)
     uint32_t payload_bytes = 1472;
@@ -26,9 +31,6 @@ class UdpCbrSource {
     // count drops by the burst factor while byte totals match the classic
     // chain at every refill boundary and at Stop() (which flushes).
     SimTime burst_window;
-    // Cap on packets released per refill (bounds the burst a single event
-    // injects into the MAC queue; the window shrinks to cap * interval).
-    uint32_t max_burst_packets = 64;
   };
 
   UdpCbrSource(Scheduler* scheduler, Config config, FiveTuple flow,

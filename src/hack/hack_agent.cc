@@ -6,6 +6,13 @@
 #include "src/util/logging.h"
 
 namespace hacksim {
+namespace {
+
+// Flush timeout for kExplicitTimer, and the safety timer for
+// kTimestampEcho.
+constexpr SimTime kExplicitTimer = SimTime::Millis(10);
+
+}  // namespace
 
 HackAgent::HackAgent(Scheduler* scheduler, WifiMac* mac,
                      HackAgentConfig config)
@@ -255,7 +262,7 @@ void HackAgent::ArmFlushTimer(MacAddress dest, PeerState& ps) {
     return;
   }
   ps.flush_timer = scheduler_->ScheduleIn(
-      config_.explicit_timer,
+      kExplicitTimer,
       [this, dest]() {
         PeerState& state = peers_[dest];
         state.flush_timer = kInvalidEventId;

@@ -82,9 +82,6 @@ struct HackAgentConfig {
   // Block ACK while staying close to the fits-in-AIFS goal; the ablation
   // bench sweeps this knob.
   size_t max_payload_bytes = 240;
-  // Flush timeout for kExplicitTimer, and the safety timer for
-  // kTimestampEcho.
-  SimTime explicit_timer = SimTime::Millis(10);
   // Batched/paced release of staged compressed ACKs; off by default.
   HackAckPolicy ack_policy;
 };

@@ -8,6 +8,11 @@
 namespace hacksim {
 namespace {
 
+// Retries allowed per MPDU, and per BAR on a stalled Block ACK agreement,
+// before the MAC gives up on it.
+constexpr int kMpduRetryLimit = 7;
+constexpr int kBarRetryLimit = 7;
+
 // EIFS adds the time to hear the lowest-rate ACK after a failed reception.
 SimTime EifsExtra(const PhyTimings& timings) {
   WifiMode lowest{PhyFormat::kLegacyOfdm, 6000, 24, 1};
@@ -956,7 +961,7 @@ void WifiMac::HandleBlockAck(const WifiFrame& frame) {
     if (out == nullptr) {
       continue;
     }
-    if (++out->retries > config_.mpdu_retry_limit) {
+    if (++out->retries > kMpduRetryLimit) {
       ++stats_.mpdus_dropped_retry_limit;
       st.EraseOutstanding(seq);
     }
@@ -1034,7 +1039,7 @@ void WifiMac::HandleResponseTimeout() {
 
   TxState& st = tx_[current_dest_sid_];
   if (current_is_bar_) {
-    if (++st.bar_retries > config_.bar_retry_limit) {
+    if (++st.bar_retries > kBarRetryLimit) {
       GiveUpBlockAck(st);
     } else {
       st.bar_pending = true;
@@ -1043,7 +1048,7 @@ void WifiMac::HandleResponseTimeout() {
     // No Block ACK for a data batch: recover via BAR (§3.4, Figs 5-8).
     st.bar_pending = true;
   } else if (st.single_inflight.has_value()) {
-    if (++st.single_inflight->retries > config_.mpdu_retry_limit) {
+    if (++st.single_inflight->retries > kMpduRetryLimit) {
       ++stats_.mpdus_dropped_retry_limit;
       st.single_inflight.reset();
       NoteGiveUp(st);

@@ -77,8 +77,6 @@ struct WifiMacConfig {
   // Paper §4.3: AP buffers 126 packets per flow (3 batches of 42).
   size_t per_dest_queue_limit = 126;
   SimTime txop_limit = SimTime::Millis(4);
-  int mpdu_retry_limit = 7;
-  int bar_retry_limit = 7;
   // RTS/CTS virtual carrier sense: data PPDUs whose PSDU exceeds this many
   // bytes are preceded by an RTS/CTS handshake whose Duration fields make
   // overhearing stations reserve (NAV) the whole exchange. 0 disables —

@@ -108,14 +108,13 @@ TEST(TokenBucketTest, SubIntervalWindowDegeneratesToLegacyChain) {
 }
 
 // The per-refill burst is capped: a huge window still releases at most
-// max_burst_packets per event, and the totals still match the chain.
+// kMaxBurstPackets per event, and the totals still match the chain.
 TEST(TokenBucketTest, BurstCapBoundsReleaseAndPreservesTotals) {
   Scheduler sched;
   UdpCbrSource::Config cfg = BaseCfg();
   cfg.stop = SimTime::Millis(100);
   SourceUnderTest legacy(&sched, cfg);
   cfg.burst_window = SimTime::Millis(200);  // fits 200 ticks; cap is 64
-  cfg.max_burst_packets = 64;
   SourceUnderTest bucket(&sched, cfg);
 
   legacy.src.Start();
@@ -131,7 +130,7 @@ TEST(TokenBucketTest, BurstCapBoundsReleaseAndPreservesTotals) {
                                                          : 1;
     worst = std::max(worst, same_instant);
   }
-  EXPECT_LE(worst, 64u);
+  EXPECT_LE(worst, UdpCbrSource::kMaxBurstPackets);
 }
 
 // Scenario smoke: bucket-paced uplink sources under an AP outage. The fault
