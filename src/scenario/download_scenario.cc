@@ -32,6 +32,9 @@ struct ClientEndpoint {
   std::unique_ptr<TrafficSource> traffic_source;
   std::unique_ptr<TcpSender> tcp_tx;
   std::unique_ptr<TcpReceiver> tcp_rx;
+  // Currently associated and radio-on. A station whose first fault-plan
+  // event is a join starts absent and is brought up by that event.
+  bool present = true;
   // The flow's sources were started (or scheduled to start). A station
   // that begins absent starts its TCP sender at its first join.
   bool started = false;
@@ -144,10 +147,10 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
   auto ap_device = std::make_unique<WifiNetDevice>(
       &scheduler, &channel, ap_mac_addr, ap_mac_cfg, root_rng.Fork());
   ap_device->phy().set_position(Position{0.0, 0.0});
+  HackAgentConfig hack_cfg = config.hack_config;
+  hack_cfg.variant = config.hack;
   if (config.hack != HackVariant::kOff) {
-    HackAgentConfig hc = config.hack_config;
-    hc.variant = config.hack;
-    ap_device->EnableHack(hc);
+    ap_device->EnableHack(hack_cfg);
   }
   ap_node->AttachWifi(ap_device.get());
   ap_node->AttachP2p(&wired, 1);
@@ -207,15 +210,12 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
     CHECK_LT(plan.MaxStation(), config.n_clients)
         << "fault plan references a station index beyond n_clients";
   }
-  // present[i]: station i is currently associated and radio-on. A station
-  // whose first plan event is a join starts absent and is brought up by that
-  // event. Devices and RNG forks are created for every client regardless,
-  // so the per-client random streams never depend on the plan.
-  std::vector<char> present(static_cast<size_t>(config.n_clients), 1);
+  // Devices and RNG forks are created for every client regardless of
+  // presence, so the per-client random streams never depend on the plan.
   if (faults_enabled) {
     for (int i = 0; i < config.n_clients; ++i) {
       if (plan.StartsAbsent(i)) {
-        present[static_cast<size_t>(i)] = 0;
+        clients[i].present = false;
       }
     }
   }
@@ -253,9 +253,7 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
     }
     install_loss(ep.device->phy(), std::move(client_loss));
     if (config.hack != HackVariant::kOff) {
-      HackAgentConfig hc = config.hack_config;
-      hc.variant = config.hack;
-      ep.device->EnableHack(hc);
+      ep.device->EnableHack(hack_cfg);
     }
     ep.node->AttachWifi(ep.device.get());
     ep.node->SetDefaultRoute(Node::Egress::kWifi, ap_mac_addr);
@@ -266,7 +264,7 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
     // Associate both ways so StationIds are dense and deterministic (client
     // i is station i at the AP) before any traffic flows. Stations whose
     // first fault-plan event is a join start absent instead.
-    if (present[static_cast<size_t>(i)]) {
+    if (ep.present) {
       ap_device->mac().Associate(client_mac_addr(i));
       ep.device->mac().Associate(ap_mac_addr);
     }
@@ -395,7 +393,7 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
       };
     }
 
-    if (present[static_cast<size_t>(i)]) {
+    if (ep.present) {
       // A TCP+mix station starts its background source first, then its
       // TCP flow.
       if (ep.udp_source != nullptr) {
@@ -436,9 +434,9 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
       switch (ev.type) {
         case FaultType::kCrash:
         case FaultType::kLeave: {
-          size_t s = static_cast<size_t>(ev.station);
-          if (!present[s]) break;
-          present[s] = 0;
+          ClientEndpoint& ep = clients[ev.station];
+          if (!ep.present) break;
+          ep.present = false;
           if (ev.type == FaultType::kLeave) {
             // Clean departure: the AP is told and frees the station's
             // queue, service slot and StationId immediately.
@@ -449,31 +447,30 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
             // feeding the dead-peer flush).
             ++fault_stats.crashes;
           }
-          if (clients[s].udp_source != nullptr) {
-            clients[s].udp_source->Stop();
+          if (ep.udp_source != nullptr) {
+            ep.udp_source->Stop();
           }
-          if (clients[s].traffic_source != nullptr) {
-            clients[s].traffic_source->Stop();
+          if (ep.traffic_source != nullptr) {
+            ep.traffic_source->Stop();
           }
-          clients[s].device->phy().SetRadioOn(false);
-          clients[s].device->mac().ResetRadioState();
+          ep.device->phy().SetRadioOn(false);
+          ep.device->mac().ResetRadioState();
           break;
         }
         case FaultType::kJoin: {
-          size_t s = static_cast<size_t>(ev.station);
-          if (present[s]) break;
-          present[s] = 1;
+          ClientEndpoint& ep = clients[ev.station];
+          if (ep.present) break;
+          ep.present = true;
           ++fault_stats.joins;
           fault_stats.last_recovery_time = scheduler.Now();
-          clients[s].device->phy().SetRadioOn(true);
+          ep.device->phy().SetRadioOn(true);
           // Fresh association both ways; Associate() scrubs whatever state
           // the AP still holds from the station's previous life.
           ap_device->mac().Associate(client_mac_addr(ev.station));
-          clients[s].device->mac().Associate(ap_mac_addr);
+          ep.device->mac().Associate(ap_mac_addr);
           // Independent ifs, not an else-chain: a TCP+mix station owns both
           // a background TrafficSource (resumed) and a TCP sender (started
           // once).
-          ClientEndpoint& ep = clients[s];
           if (ep.udp_source != nullptr) {
             ep.udp_source->Resume(scheduler.Now(), config.duration);
           }
@@ -487,15 +484,15 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
           break;
         }
         case FaultType::kRadioReset: {
-          size_t s = static_cast<size_t>(ev.station);
-          if (!present[s]) break;
+          ClientEndpoint& ep = clients[ev.station];
+          if (!ep.present) break;
           ++fault_stats.radio_resets;
-          clients[s].device->phy().SetRadioOn(false);
-          clients[s].device->mac().ResetRadioState();
-          clients[s].device->phy().SetRadioOn(true);
+          ep.device->phy().SetRadioOn(false);
+          ep.device->mac().ResetRadioState();
+          ep.device->phy().SetRadioOn(true);
           // Only the client re-associates: the AP never saw the reset, and
           // its live downlink queue toward the station must survive it.
-          clients[s].device->mac().Associate(ap_mac_addr);
+          ep.device->mac().Associate(ap_mac_addr);
           break;
         }
         case FaultType::kApDown: {
@@ -514,10 +511,9 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
           // sides' Block ACK windows, so the restarted AP's fresh sequence
           // numbers are not discarded as ancient duplicates.
           for (int i = 0; i < config.n_clients; ++i) {
-            if (present[static_cast<size_t>(i)]) {
+            if (clients[i].present) {
               ap_device->mac().Associate(client_mac_addr(i));
-              clients[static_cast<size_t>(i)].device->mac().Associate(
-                  ap_mac_addr);
+              clients[i].device->mac().Associate(ap_mac_addr);
             }
           }
           break;

@@ -87,9 +87,9 @@ TEST(BatchedDeliveryEquivalenceTest, UdpTenClients) {
       BaseConfig(10, TransportProto::kUdp, HackVariant::kOff));
 }
 
-TEST(BatchedDeliveryEquivalenceTest, LossyUploadThreeClients) {
-  // Upload reverses the compressing role; loss exercises the BAR/retry and
-  // rx-window machinery on both sides.
+// Upload reverses the compressing role; loss exercises the BAR/retry and
+// rx-window machinery on both sides.
+ScenarioConfig LossyUploadConfig() {
   ScenarioConfig c = BaseConfig(3, TransportProto::kTcp,
                                 HackVariant::kMoreData);
   c.upload = true;
@@ -97,7 +97,11 @@ TEST(BatchedDeliveryEquivalenceTest, LossyUploadThreeClients) {
   for (auto& spec : c.clients) {
     spec.bernoulli_data_loss = 0.05;
   }
-  ExpectModesEquivalent(c);
+  return c;
+}
+
+TEST(BatchedDeliveryEquivalenceTest, LossyUploadThreeClients) {
+  ExpectModesEquivalent(LossyUploadConfig());
 }
 
 ScenarioConfig HiddenConfig(int n_clients, size_t rts_threshold) {
@@ -223,18 +227,7 @@ const WiringPin kWiringPins[] = {
        return c;
      },
      156, 1340, 2.5151733333333333},
-    {"TcpHackUploadLossy",
-     [] {
-       ScenarioConfig c =
-           BaseConfig(3, TransportProto::kTcp, HackVariant::kMoreData);
-       c.upload = true;
-       c.clients.resize(3);
-       for (ClientSpec& spec : c.clients) {
-         spec.bernoulli_data_loss = 0.05;
-       }
-       return c;
-     },
-     669, 27127, 118.5753820952381},
+    {"TcpHackUploadLossy", LossyUploadConfig, 669, 27127, 118.5753820952381},
     {"TcpMixDownloadEdca", TcpMixEdcaPinConfig, 961, 38783,
      119.83673466666667},
     {"TcpMixDownloadEdcaFaults",
