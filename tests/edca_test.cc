@@ -1,7 +1,8 @@
 // EDCA tests: per-AC parameter table, pick-for-pick grant timing against a
 // reference model, VO-beats-BK grant ordering, virtual-collision re-draw,
 // per-AC TXOP sizing, MAC-level internal contention, the whole-scenario
-// edca_enabled=false bit-identity pin, and a voice-vs-web priority smoke.
+// edca_enabled=false bit-identity pin, the all-best-effort EDCA-on ==
+// EDCA-off pins, and a voice-vs-web priority smoke.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -272,6 +273,63 @@ TEST(EdcaBitIdentityPin, EdcaOffHitsTheLegacyGoldenValues) {
   for (uint8_t ac = 0; ac < kNumAcs; ++ac) {
     EXPECT_EQ(r.ap_mac.ac_ppdus_sent[ac], 0u) << kAcNames[ac];
   }
+}
+
+// EDCA-off is the best-effort slice of EDCA: with no DSCP tags every packet
+// classifies BE, so turning EDCA on adds VO/VI/BK engines that never
+// contend and must not move a single draw, event or counter. Only the
+// per-AC PPDU counters, which EDCA-off leaves at zero, may differ.
+void ExpectAllBestEffortEdcaIsEdcaOff(ScenarioConfig c) {
+  c.edca_enabled = false;
+  ScenarioResult off = RunScenario(c);
+  c.edca_enabled = true;
+  ScenarioResult on = RunScenario(c);
+  on.ap_mac.ac_ppdus_sent = {};
+  for (ClientResult& client : on.clients) {
+    client.mac.ac_ppdus_sent = {};
+  }
+  EXPECT_TRUE(on.BehaviourEquals(off))
+      << "EDCA-on diverged: goodput " << on.aggregate_goodput_mbps << " vs "
+      << off.aggregate_goodput_mbps << ", airtime ppdus " << on.airtime.ppdus
+      << " vs " << off.airtime.ppdus;
+  EXPECT_EQ(on.events_executed, off.events_executed);
+  EXPECT_EQ(on.ap_mac.virtual_collisions, 0u);
+  for (const ClientResult& client : on.clients) {
+    EXPECT_EQ(client.mac.virtual_collisions, 0u);
+  }
+}
+
+TEST(EdcaBitIdentityPin, AllBestEffortTcpHackDownloadMatchesEdcaOff) {
+  ScenarioConfig c;
+  c.standard = WifiStandard::k80211n;
+  c.data_rate_mbps = 150.0;
+  c.n_clients = 3;
+  c.proto = TransportProto::kTcp;
+  c.hack = HackVariant::kMoreData;
+  c.duration = SimTime::Millis(800);
+  c.start_stagger = SimTime::Millis(50);
+  c.seed = 7;
+  ExpectAllBestEffortEdcaIsEdcaOff(c);
+}
+
+// A small version of the benchmark's dense path: contended UDP uplink with
+// RTS/CTS, rate adaptation and burst pacing.
+TEST(EdcaBitIdentityPin, AllBestEffortDenseUplinkMatchesEdcaOff) {
+  ScenarioConfig c;
+  c.standard = WifiStandard::k80211n;
+  c.data_rate_mbps = 150.0;
+  c.n_clients = 10;
+  c.proto = TransportProto::kUdp;
+  c.hack = HackVariant::kOff;
+  c.upload = true;
+  c.rts_threshold = 500;
+  c.rate_adaptation = true;
+  c.udp_burst_window = SimTime::Millis(16);
+  c.udp_rate_bps = 250e6;
+  c.duration = SimTime::Millis(300);
+  c.start_stagger = SimTime::Millis(5);
+  c.seed = 7;
+  ExpectAllBestEffortEdcaIsEdcaOff(c);
 }
 
 // Priority smoke at scenario scale: voice flows sharing a saturated cell
