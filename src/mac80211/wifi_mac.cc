@@ -174,11 +174,8 @@ void WifiMac::Associate(MacAddress peer) {
     st = TxState{};
     st.service_slot = slot;
     if (slot != TxState::kNoServiceSlot) {
-      service_ring_.Set(slot, false);
-      if (config_.edca_enabled) {
-        for (ActiveSlotRing& ring : ac_rings_) {
-          ring.Set(slot, false);
-        }
+      for (ActiveSlotRing& ring : ac_rings_) {
+        ring.Set(slot, false);
       }
     }
   }
@@ -220,13 +217,9 @@ void WifiMac::Disassociate(MacAddress peer) {
     uint32_t slot = st.service_slot;
     st = TxState{};
     if (slot != TxState::kNoServiceSlot) {
-      service_ring_.Set(slot, false);
-      service_ring_.ReleaseSlot(slot);
-      if (config_.edca_enabled) {
-        for (ActiveSlotRing& ring : ac_rings_) {
-          ring.Set(slot, false);
-          ring.ReleaseSlot(slot);
-        }
+      for (ActiveSlotRing& ring : ac_rings_) {
+        ring.Set(slot, false);
+        ring.ReleaseSlot(slot);
       }
     }
   }
@@ -256,7 +249,6 @@ void WifiMac::ResetRadioState() {
   tx_.clear();
   rx_.clear();
   stations_ = StationTable{};
-  service_ring_ = ActiveSlotRing{};
   for (ActiveSlotRing& ring : ac_rings_) {
     ring = ActiveSlotRing{};
   }
@@ -276,14 +268,12 @@ void WifiMac::EnsureServiceSlot(StationId sid, TxState& st) {
   if (st.service_slot != TxState::kNoServiceSlot) {
     return;
   }
-  size_t slot = service_ring_.AddSlot();
-  if (config_.edca_enabled) {
-    // Lockstep: every ring sees the same AddSlot/ReleaseSlot history (both
-    // recycle LIFO), so slot indices agree across all of them.
-    for (ActiveSlotRing& ring : ac_rings_) {
-      size_t ac_slot = ring.AddSlot();
-      CHECK(ac_slot == slot);
-    }
+  // Lockstep: every ring sees the same AddSlot/ReleaseSlot history (all
+  // recycle LIFO), so slot indices agree across all of them.
+  size_t slot = ac_rings_[0].AddSlot();
+  for (uint8_t ac = 1; ac < kNumAcs; ++ac) {
+    size_t ac_slot = ac_rings_[ac].AddSlot();
+    CHECK(ac_slot == slot);
   }
   st.service_slot = static_cast<uint32_t>(slot);
   if (slot == service_slot_station_.size()) {
@@ -297,9 +287,8 @@ void WifiMac::UpdateServiceRing(TxState& st) {
   if (st.service_slot == TxState::kNoServiceSlot) {
     return;  // never enqueued to: cannot have work
   }
-  service_ring_.Set(st.service_slot, st.HasWork());
-  if (config_.edca_enabled) {
-    for (uint8_t ac = 0; ac < kNumAcs; ++ac) {
+  for (uint8_t ac = 0; ac < kNumAcs; ++ac) {
+    if (HasEngine(ac)) {
       ac_rings_[ac].Set(st.service_slot, AcHasWork(st, ac));
     }
   }
@@ -320,7 +309,7 @@ bool WifiMac::AcHasWork(const TxState& st, uint8_t ac) const {
 }
 
 std::deque<Packet>& WifiMac::SendQueue(TxState& st, uint8_t ac) {
-  if (!config_.edca_enabled || ac == kAcBe) {
+  if (ac == kAcBe) {
     return st.queue;
   }
   if (st.edca_queues == nullptr) {
@@ -331,7 +320,7 @@ std::deque<Packet>& WifiMac::SendQueue(TxState& st, uint8_t ac) {
 }
 
 SimTime WifiMac::TxopLimitFor(uint8_t ac) const {
-  if (!config_.edca_enabled || config_.edca[ac].txop_limit.IsZero()) {
+  if (config_.edca[ac].txop_limit.IsZero()) {
     return config_.txop_limit;
   }
   return config_.edca[ac].txop_limit;
@@ -403,18 +392,12 @@ size_t WifiMac::RemoveQueued(MacAddress dest,
 // --- originator pipeline --------------------------------------------------------
 
 void WifiMac::MaybeRequestAccess() {
-  if (phase_ != TxPhase::kIdle || service_ring_.Empty()) {
+  if (phase_ != TxPhase::kIdle) {
     return;
   }
-  if (!config_.edca_enabled) {
-    if (!dcf_.access_pending()) {
-      access_request_time_ = scheduler_->Now();
-      dcf_.RequestAccess();
-    }
-    return;
-  }
-  // EDCA: every AC with work contends independently; the internal
-  // contention in OnAccessGranted resolves same-instant winners.
+  // Every AC with work contends independently; the internal contention in
+  // OnAccessGranted resolves same-instant winners. With EDCA off only the
+  // BE ring ever holds work.
   for (uint8_t ac = 0; ac < kNumAcs; ++ac) {
     if (ac_rings_[ac].Empty()) {
       continue;
@@ -428,7 +411,7 @@ void WifiMac::MaybeRequestAccess() {
 }
 
 WifiMac::TxState* WifiMac::PickNextDest(uint8_t ac, StationId* sid_out) {
-  ActiveSlotRing& ring = config_.edca_enabled ? ac_rings_[ac] : service_ring_;
+  ActiveSlotRing& ring = ac_rings_[ac];
   size_t slot;
   if (!ring.PickNext(&slot)) {
     return nullptr;
@@ -450,33 +433,32 @@ void WifiMac::OnAccessGranted(uint8_t ac) {
     CHECK(config_.edca_enabled);
     return;
   }
-  if (config_.edca_enabled) {
-    SimTime now = scheduler_->Now();
-    // Internal contention (802.11e 9.9.1.3): of the engines granted at the
-    // same instant, only the highest-priority AC transmits; every loser
-    // suffers a virtual collision. Same-nanosecond grants may fire in any
-    // FIFO order, so both directions are handled: if a HIGHER-priority
-    // engine's grant is armed for this instant (it fires later this ns),
-    // *we* are the loser and stand down; any LOWER-priority engine armed
-    // for this instant loses to us.
-    for (uint8_t hi = 0; hi < ac; ++hi) {
-      DcfEngine& high = EngineFor(hi);
-      if (high.has_armed_grant() && high.armed_grant_time() == now) {
-        ++stats_.virtual_collisions;
-        DcfEngine& self = EngineFor(ac);
-        self.NotifyTxFailure();
-        self.RequestAccess();
-        return;
-      }
+  SimTime now = scheduler_->Now();
+  // Internal contention (802.11e 9.9.1.3): of the engines granted at the
+  // same instant, only the highest-priority AC transmits; every loser
+  // suffers a virtual collision. Same-nanosecond grants may fire in any
+  // FIFO order, so both directions are handled: if a HIGHER-priority
+  // engine's grant is armed for this instant (it fires later this ns),
+  // *we* are the loser and stand down; any LOWER-priority engine armed
+  // for this instant loses to us. An AC with no engine never contends.
+  for (uint8_t hi = 0; hi < ac; ++hi) {
+    DcfEngine& high = EngineFor(hi);
+    if (HasEngine(hi) && high.has_armed_grant() &&
+        high.armed_grant_time() == now) {
+      ++stats_.virtual_collisions;
+      DcfEngine& self = EngineFor(ac);
+      self.NotifyTxFailure();
+      self.RequestAccess();
+      return;
     }
-    for (uint8_t lo = ac + 1; lo < kNumAcs; ++lo) {
-      DcfEngine& low = EngineFor(lo);
-      if (low.has_armed_grant() && low.armed_grant_time() == now) {
-        ++stats_.virtual_collisions;
-        low.NotifyInternalCollision();
-      }
+  }
+  for (uint8_t lo = ac + 1; lo < kNumAcs; ++lo) {
+    DcfEngine& low = EngineFor(lo);
+    if (HasEngine(lo) && low.has_armed_grant() &&
+        low.armed_grant_time() == now) {
+      ++stats_.virtual_collisions;
+      low.NotifyInternalCollision();
     }
-    access_request_time_ = ac_request_time_[ac];
   }
   current_ac_ = ac;
   StationId sid = kInvalidStationId;
@@ -604,7 +586,7 @@ void WifiMac::TransmitDataPpdu(Ppdu ppdu) {
   }
   current_all_tcp_acks_ = all_acks && !ppdu.mpdus.empty();
   if (current_all_tcp_acks_) {
-    SimTime wait = scheduler_->Now() - access_request_time_;
+    SimTime wait = scheduler_->Now() - ac_request_time_[current_ac_];
     SimTime payload_air = PayloadAirtime(ppdu);
     stats_.tcp_ack_frames_sent += ppdu.mpdus.size();
     for (const WifiFrame& mpdu : ppdu.mpdus) {
@@ -910,7 +892,7 @@ void WifiMac::ReleaseDelivered(TxState& st, const OutstandingMpdu& mpdu) {
   }
 }
 
-void WifiMac::HandleBlockAck(const WifiFrame& frame) {
+void WifiMac::HandleResponse(const WifiFrame& frame) {
   if (phase_ != TxPhase::kAwaitingResponse || frame.ta != current_dest_) {
     return;  // stale/unexpected response
   }
@@ -918,7 +900,7 @@ void WifiMac::HandleBlockAck(const WifiFrame& frame) {
   response_timeout_event_ = kInvalidEventId;
   if (current_dest_gone_) {
     // Response from a peer we removed mid-exchange (a clean leave can race
-    // an in-flight Block ACK): the exchange ends, its state is gone.
+    // an in-flight response): the exchange ends, its state is gone.
     current_dest_gone_ = false;
     EngineFor(current_ac_).NotifyTxSuccess();
     FinishExchange();
@@ -926,12 +908,30 @@ void WifiMac::HandleBlockAck(const WifiFrame& frame) {
   }
 
   TxState& st = tx_[current_dest_sid_];
-  st.bar_retries = 0;
-  st.bar_pending = false;
   st.sync_pending = false;
+  if (frame.type == WifiFrameType::kBlockAck) {
+    st.bar_retries = 0;
+    st.bar_pending = false;
+    CHECK(frame.ba.has_value());
+    ReleaseBlockAcked(st, *frame.ba);
+  } else if (st.single_inflight.has_value()) {
+    ReleaseDelivered(st, *st.single_inflight);
+    st.single_inflight.reset();
+  }
+  UpdateServiceRing(st);
 
-  CHECK(frame.ba.has_value());
-  const BlockAckInfo& ba = *frame.ba;
+  if (current_all_tcp_acks_) {
+    stats_.tcp_ack_ll_ack_overhead_ns +=
+        (scheduler_->Now() - tx_end_time_).ns();
+  }
+  if (!current_is_bar_) {
+    NotifyRateOutcome(current_dest_sid_, /*success=*/true);
+  }
+  EngineFor(current_ac_).NotifyTxSuccess();
+  FinishExchange();
+}
+
+void WifiMac::ReleaseBlockAcked(TxState& st, const BlockAckInfo& ba) {
   auto acked = [&](uint16_t seq) {
     uint16_t dist = SeqDistance(ba.start_seq, seq);
     if (dist < 64) {
@@ -978,46 +978,6 @@ void WifiMac::HandleBlockAck(const WifiFrame& frame) {
       }
     }
   }
-  UpdateServiceRing(st);
-
-  if (current_all_tcp_acks_) {
-    stats_.tcp_ack_ll_ack_overhead_ns +=
-        (scheduler_->Now() - tx_end_time_).ns();
-  }
-  if (!current_is_bar_) {
-    NotifyRateOutcome(current_dest_sid_, /*success=*/true);
-  }
-  EngineFor(current_ac_).NotifyTxSuccess();
-  FinishExchange();
-}
-
-void WifiMac::HandleAck(const WifiFrame& frame) {
-  if (phase_ != TxPhase::kAwaitingResponse || frame.ta != current_dest_) {
-    return;
-  }
-  scheduler_->Cancel(response_timeout_event_);
-  response_timeout_event_ = kInvalidEventId;
-  if (current_dest_gone_) {
-    current_dest_gone_ = false;
-    EngineFor(current_ac_).NotifyTxSuccess();
-    FinishExchange();
-    return;
-  }
-
-  TxState& st = tx_[current_dest_sid_];
-  if (st.single_inflight.has_value()) {
-    ReleaseDelivered(st, *st.single_inflight);
-    st.single_inflight.reset();
-  }
-  st.sync_pending = false;
-  UpdateServiceRing(st);
-  if (current_all_tcp_acks_) {
-    stats_.tcp_ack_ll_ack_overhead_ns +=
-        (scheduler_->Now() - tx_end_time_).ns();
-  }
-  NotifyRateOutcome(current_dest_sid_, /*success=*/true);
-  EngineFor(current_ac_).NotifyTxSuccess();
-  FinishExchange();
 }
 
 void WifiMac::HandleResponseTimeout() {
@@ -1113,15 +1073,7 @@ void WifiMac::OnPpduReceived(const Ppdu& ppdu,
     if (scheduler_->Now() < nav_until_) {
       ++stats_.cf_end_truncations;
       nav_until_ = scheduler_->Now();
-      if (!medium_busy_reported_) {
-        // Re-date the announced idle start to now with a zero-length busy
-        // pulse — the announcement machinery only ever extends on its own.
-        reported_idle_from_ = scheduler_->Now();
-        ForEachEngine([this](DcfEngine& engine) {
-          engine.NotifyMediumBusy();
-          engine.NotifyMediumIdleFrom(reported_idle_from_);
-        });
-      }
+      RedateIdleStart(scheduler_->Now());
     }
     return;
   }
@@ -1140,7 +1092,6 @@ void WifiMac::OnPpduReceived(const Ppdu& ppdu,
       }
       SetNav(until);
       if (nav_provisional_ && nav_probe_value_ == until &&
-          !medium_busy_reported_ &&
           reported_idle_from_ != nav_probe_deadline_) {
         // SetNav's pulse missed the provisional deadline (equal-horizon
         // no-op, or a standing reservation already announced further out):
@@ -1148,11 +1099,7 @@ void WifiMac::OnPpduReceived(const Ppdu& ppdu,
         // probe delivers at its deadline, moved to decode time; it cannot
         // draw backoff (pending access here implies an earlier busy edge
         // already drew it).
-        reported_idle_from_ = nav_probe_deadline_;
-        ForEachEngine([this](DcfEngine& engine) {
-          engine.NotifyMediumBusy();
-          engine.NotifyMediumIdleFrom(nav_probe_deadline_);
-        });
+        RedateIdleStart(nav_probe_deadline_);
       }
     }
     return;
@@ -1163,16 +1110,11 @@ void WifiMac::OnPpduReceived(const Ppdu& ppdu,
       HandleDataPpdu(ppdu, mpdu_ok);
       break;
     case WifiFrameType::kBlockAck:
-      if (hack_hooks_ != nullptr && !first.hack_payload.empty()) {
-        hack_hooks_->OnAckPayload(first.ta, first.hack_payload);
-      }
-      HandleBlockAck(first);
-      break;
     case WifiFrameType::kAck:
       if (hack_hooks_ != nullptr && !first.hack_payload.empty()) {
         hack_hooks_->OnAckPayload(first.ta, first.hack_payload);
       }
-      HandleAck(first);
+      HandleResponse(first);
       break;
     case WifiFrameType::kBlockAckReq:
       HandleBar(first, ppdu.mode);
@@ -1498,6 +1440,17 @@ void WifiMac::OnCcaIdle() {
   UpdateMediumState();
 }
 
+void WifiMac::RedateIdleStart(SimTime idle_from) {
+  if (medium_busy_reported_) {
+    return;
+  }
+  reported_idle_from_ = idle_from;
+  ForEachEngine([idle_from](DcfEngine& engine) {
+    engine.NotifyMediumBusy();
+    engine.NotifyMediumIdleFrom(idle_from);
+  });
+}
+
 void WifiMac::SetNav(SimTime until) {
   if (until <= nav_until_) {
     return;
@@ -1554,16 +1507,9 @@ void WifiMac::HandleNavResetProbe(SimTime armed_nav_value,
   }
   ++stats_.nav_resets;
   nav_until_ = scheduler_->Now();
-  if (!medium_busy_reported_) {
-    // The engine was told "idle from <RTS horizon>"; re-date that to now
-    // with a zero-length busy pulse (a busy edge followed by an immediate
-    // idle edge) — the medium-state change the eager path would have seen.
-    reported_idle_from_ = scheduler_->Now();
-    ForEachEngine([this](DcfEngine& engine) {
-      engine.NotifyMediumBusy();
-      engine.NotifyMediumIdleFrom(reported_idle_from_);
-    });
-  }
+  // The engine was told "idle from <RTS horizon>"; re-date that to now —
+  // the medium-state change the eager path would have seen.
+  RedateIdleStart(scheduler_->Now());
 }
 
 void WifiMac::ResolveNavProbe() {

@@ -31,6 +31,7 @@
 #ifndef SRC_MAC80211_WIFI_MAC_H_
 #define SRC_MAC80211_WIFI_MAC_H_
 
+#include <algorithm>
 #include <array>
 #include <deque>
 #include <functional>
@@ -117,9 +118,9 @@ struct WifiMacConfig {
   // streak. 0 disables — the default, and the legacy bit-identical path
   // (hidden-terminal runs legitimately hit give-ups on live peers).
   int dead_peer_flush_threshold = 0;
-  // 802.11e EDCA. Off (default): one DCF engine, one queue per destination,
-  // and every legacy output stays bit-identical (no extra engines are
-  // constructed, no extra RNG forks are taken, no extra events fire). On:
+  // 802.11e EDCA. Off (default): the best-effort slice of EDCA — every
+  // packet classifies BE and only the BE engine exists (no extra engines,
+  // RNG forks or events), so every legacy output stays bit-identical. On:
   // four access categories (VO/VI/BE/BK) each with its own DCF engine
   // parameterised from `edca`, per-(destination, AC) queues, and internal
   // contention — same-instant grants resolve to the highest-priority AC,
@@ -156,7 +157,9 @@ class WifiMac final : public WifiPhyListener {
   // Liveness probes for SimWatchdog: queued-or-in-flight work, and the
   // current NAV horizon (SimTime::Zero() when no reservation is held).
   bool HasBacklog() const {
-    return !service_ring_.Empty() || phase_ != TxPhase::kIdle;
+    return phase_ != TxPhase::kIdle ||
+           std::any_of(ac_rings_.begin(), ac_rings_.end(),
+                       [](const ActiveSlotRing& r) { return !r.Empty(); });
   }
   // Effective NAV horizon: a matured-but-unresolved coalesced probe counts
   // as already reclaimed (the MAC would resolve it on its next state read),
@@ -242,7 +245,7 @@ class WifiMac final : public WifiPhyListener {
     int rts_retries = 0;
     bool rts_bypass_once = false;
     std::optional<OutstandingMpdu> single_inflight;  // 802.11a stop-and-wait
-    uint32_t service_slot = kNoServiceSlot;  // position in the service ring
+    uint32_t service_slot = kNoServiceSlot;  // position in the AC rings
     // Consecutive exchange give-ups with no delivery in between; feeds the
     // dead-peer flush (config.dead_peer_flush_threshold).
     int consecutive_give_ups = 0;
@@ -258,18 +261,10 @@ class WifiMac final : public WifiPhyListener {
 
     bool HasWork() const {
       return bar_pending || !queue.empty() || outstanding_count > 0 ||
-             single_inflight.has_value() || HasEdcaBacklog();
-    }
-    bool HasEdcaBacklog() const {
-      if (edca_queues == nullptr) {
-        return false;
-      }
-      for (const std::deque<Packet>& q : *edca_queues) {
-        if (!q.empty()) {
-          return true;
-        }
-      }
-      return false;
+             single_inflight.has_value() ||
+             (edca_queues != nullptr &&
+              std::any_of(edca_queues->begin(), edca_queues->end(),
+                          [](const auto& q) { return !q.empty(); }));
     }
     OutstandingMpdu* FindOutstanding(uint16_t seq);
     OutstandingMpdu& AddOutstanding(uint16_t seq, OutstandingMpdu mpdu);
@@ -308,8 +303,8 @@ class WifiMac final : public WifiPhyListener {
     return rx_[sid];
   }
   void EnsureServiceSlot(StationId sid, TxState& st);
-  // Re-syncs the station's service-ring bit with TxState::HasWork(); call
-  // after any mutation that can change it.
+  // Re-syncs the station's bit in the ring of every AC that has an engine
+  // with AcHasWork(); call after any mutation that can change it.
   void UpdateServiceRing(TxState& st);
 
   // --- EDCA ------------------------------------------------------------------
@@ -319,6 +314,10 @@ class WifiMac final : public WifiPhyListener {
   // bit-identical: same engine, same RNG stream, same call sites.
   DcfEngine& EngineFor(uint8_t ac) {
     return edca_engines_[ac] != nullptr ? *edca_engines_[ac] : dcf_;
+  }
+  // Whether `ac` contends at all: BE always, VO/VI/BK only with EDCA on.
+  bool HasEngine(uint8_t ac) const {
+    return ac == kAcBe || edca_engines_[ac] != nullptr;
   }
   // Applies `fn` to every live engine — dcf_ plus any per-AC engines.
   // Medium-state transitions (busy/idle edges, EIFS, radio reset) broadcast
@@ -332,8 +331,8 @@ class WifiMac final : public WifiPhyListener {
       }
     }
   }
-  // The staging queue for (station, ac): st.queue for BE and legacy mode,
-  // the lazily created per-AC queue otherwise.
+  // The staging queue for (station, ac): st.queue for BE, the lazily
+  // created per-AC queue otherwise.
   std::deque<Packet>& SendQueue(TxState& st, uint8_t ac);
   // Whether `ac`'s engine has a reason to contend for this station: fresh
   // packets in its queue, or recovery work (BAR/outstanding/single) that
@@ -356,10 +355,13 @@ class WifiMac final : public WifiPhyListener {
   void HandleCts(const WifiFrame& frame);
   void HandleCtsTimeout();
   void HandleResponseTimeout();
-  void HandleBlockAck(const WifiFrame& frame);
-  void HandleAck(const WifiFrame& frame);
+  // Completes the exchange in flight on its LL ACK or Block ACK.
+  void HandleResponse(const WifiFrame& frame);
   void FinishExchange();
   void ReleaseDelivered(TxState& st, const OutstandingMpdu& mpdu);
+  // Releases the outstanding MPDUs `ba` acknowledges, counts a retry on the
+  // rest of this batch and advances the originator window.
+  void ReleaseBlockAcked(TxState& st, const BlockAckInfo& ba);
   void GiveUpBlockAck(TxState& st);
   // Counts a give-up towards the dead-peer streak and flushes the
   // destination's queue once the threshold is crossed.
@@ -382,6 +384,9 @@ class WifiMac final : public WifiPhyListener {
 
   // --- medium state -----------------------------------------------------------
   void UpdateMediumState();
+  // Re-dates the idle start announced to idle engines to `idle_from` with a
+  // zero-length busy pulse: the announcement only ever extends on its own.
+  void RedateIdleStart(SimTime idle_from);
   void SetNav(SimTime until);
   // Arms the 802.11 NAV-reset probe for an overheard RTS: if the medium
   // shows no PHY activity for 2*SIFS + CTS airtime + 2*slot after the RTS,
@@ -418,16 +423,16 @@ class WifiMac final : public WifiPhyListener {
   // enqueueing) never dangle.
   std::vector<TxState> tx_;
   std::vector<RxState> rx_;
-  // Service ring: slot index -> station, assigned in first-enqueue order
-  // (the legacy round_robin_ vector order), picked via an O(1) cursor.
-  ActiveSlotRing service_ring_;
+  // Service slots: slot index -> station, assigned in first-enqueue order
+  // (the legacy round_robin_ vector order). One ring per AC, in slot
+  // lockstep (same AddSlot/ReleaseSlot history, so slot s means the same
+  // station everywhere), each picked via an O(1) cursor. A slot is active
+  // in ring[ac] iff AcHasWork(st, ac); only the rings of ACs with an engine
+  // are kept, so with EDCA off only ring[kAcBe] ever holds work.
   std::vector<StationId> service_slot_station_;
-  // EDCA: per-AC rings in slot lockstep with service_ring_ (same AddSlot /
-  // ReleaseSlot history, so slot s means the same station everywhere); a
-  // slot is active in ring[ac] iff AcHasWork(st, ac). Only maintained when
-  // edca_enabled. service_ring_ stays the master "any work at all" ring
-  // (HasBacklog, MaybeRequestAccess's cheap empty check).
   std::array<ActiveSlotRing, kNumAcs> ac_rings_;
+  // When each AC last asked for the medium: the start of a TCP-ACK PPDU's
+  // channel wait in the Table 3 overhead accounting.
   std::array<SimTime, kNumAcs> ac_request_time_{};
 
   // Rate adaptation (engaged only when config_.enable_rate_adaptation).
@@ -436,7 +441,7 @@ class WifiMac final : public WifiPhyListener {
   std::optional<ArfRateController> rate_ctrl_;
 
   TxPhase phase_ = TxPhase::kIdle;
-  // AC of the exchange in flight (kAcBe always in legacy mode); exchange
+  // AC of the exchange in flight (always kAcBe with EDCA off); exchange
   // lifecycle feedback (TX success/failure, post-TX backoff, TXOP limit)
   // routes to EngineFor(current_ac_).
   uint8_t current_ac_ = kAcBe;
@@ -461,7 +466,6 @@ class WifiMac final : public WifiPhyListener {
   std::optional<Ppdu> pending_data_ppdu_;
   EventId response_timeout_event_ = kInvalidEventId;
   EventId cts_timeout_event_ = kInvalidEventId;
-  SimTime access_request_time_;
   SimTime tx_end_time_;
 
   bool phy_busy_ = false;
