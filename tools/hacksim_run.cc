@@ -4,13 +4,20 @@
 // prints a machine-readable summary (key=value lines) plus a human table.
 //
 //   hacksim_run --standard=n --rate=150 --clients=4 --hack=more-data --seconds=5 --seed=7
-//   hacksim_run --standard=a --rate=54 --hack=off --sora --loss=0.02
+//   hacksim_run --standard=a --hack=off --sora --loss=0.02
 //
-// Exit code 0 on success; 2 on flag errors.
+// Exit code 0 on success; 2 on flag errors (an unknown flag or enum value,
+// a rate missing from the standard's mode table, or a number that does not
+// parse completely or is out of range), each reported on one line.
+#include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
+#include <type_traits>
 
 #include "src/scenario/download_scenario.h"
 
@@ -20,7 +27,7 @@ namespace {
 
 struct Flags {
   std::string standard = "n";
-  double rate = 150.0;
+  double rate = 0.0;  // 0: the standard's top rate
   int clients = 1;
   std::string hack = "more-data";
   // ACK-aggregation policy (HackAckPolicy): hold compressed ACKs and flush
@@ -56,6 +63,15 @@ struct Flags {
   bool watchdog_no_abort = false;
   bool verbose = false;
 };
+
+// Parses all of `text` as a number in [lo, hi].
+template <typename T>
+bool ParseNumber(const std::string& text, std::type_identity_t<T> lo,
+                 std::type_identity_t<T> hi, T* out) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end && *out >= lo && *out <= hi;
+}
 
 bool ParseFlag(const char* arg, const char* name, std::string* out) {
   std::string prefix = std::string("--") + name + "=";
@@ -127,50 +143,51 @@ void Usage() {
 bool Parse(int argc, char** argv, Flags* flags) {
   for (int i = 1; i < argc; ++i) {
     std::string value;
+    bool ok = true;
     if (ParseFlag(argv[i], "standard", &value)) {
       flags->standard = value;
     } else if (ParseFlag(argv[i], "rate", &value)) {
-      flags->rate = std::atof(value.c_str());
+      ok = ParseNumber(value, 1.0, 1e6, &flags->rate);
     } else if (ParseFlag(argv[i], "clients", &value)) {
-      flags->clients = std::atoi(value.c_str());
+      ok = ParseNumber(value, 1, 100'000, &flags->clients);
     } else if (ParseFlag(argv[i], "hack", &value)) {
       flags->hack = value;
     } else if (ParseFlag(argv[i], "hack-ack-window", &value)) {
-      flags->hack_ack_window_us = std::strtoll(value.c_str(), nullptr, 10);
+      ok = ParseNumber(value, 0, 1'000'000'000, &flags->hack_ack_window_us);
     } else if (ParseFlag(argv[i], "hack-ack-count", &value)) {
-      flags->hack_ack_count = std::strtoull(value.c_str(), nullptr, 10);
+      ok = ParseNumber(value, 0, 1'000'000'000, &flags->hack_ack_count);
     } else if (ParseFlag(argv[i], "proto", &value)) {
       flags->proto = value;
     } else if (ParseFlag(argv[i], "seconds", &value)) {
-      flags->seconds = std::atof(value.c_str());
+      ok = ParseNumber(value, 1e-3, 1e6, &flags->seconds);
     } else if (ParseFlag(argv[i], "stagger-ms", &value)) {
-      flags->stagger_ms = std::atof(value.c_str());
+      ok = ParseNumber(value, 0.0, 1e9, &flags->stagger_ms);
     } else if (ParseFlag(argv[i], "file-mb", &value)) {
-      flags->file_mb = std::strtoull(value.c_str(), nullptr, 10);
+      ok = ParseNumber(value, 0, 1'000'000, &flags->file_mb);
     } else if (ParseFlag(argv[i], "seed", &value)) {
-      flags->seed = std::strtoull(value.c_str(), nullptr, 10);
+      ok = ParseNumber(value, 0, UINT64_MAX, &flags->seed);
     } else if (ParseFlag(argv[i], "loss", &value)) {
-      flags->loss = std::atof(value.c_str());
+      ok = ParseNumber(value, 0.0, 1.0, &flags->loss);
     } else if (ParseFlag(argv[i], "snr-distance", &value)) {
-      flags->snr_distance = std::atof(value.c_str());
+      ok = ParseNumber(value, 0.0, 1e6, &flags->snr_distance);
     } else if (ParseFlag(argv[i], "queue", &value)) {
-      flags->queue = std::strtoull(value.c_str(), nullptr, 10);
+      ok = ParseNumber(value, 1, 1'000'000, &flags->queue);
     } else if (ParseFlag(argv[i], "txop-ms", &value)) {
-      flags->txop_ms = std::atoi(value.c_str());
+      ok = ParseNumber(value, 1, 1000, &flags->txop_ms);
     } else if (ParseFlag(argv[i], "rts-threshold", &value)) {
-      flags->rts_threshold = std::strtoull(value.c_str(), nullptr, 10);
+      ok = ParseNumber(value, 0, 1'000'000, &flags->rts_threshold);
     } else if (ParseFlag(argv[i], "topology", &value)) {
       flags->topology = value;
     } else if (ParseFlag(argv[i], "fault-plan", &value)) {
       flags->fault_plan = value;
     } else if (ParseFlag(argv[i], "watchdog-ms", &value)) {
-      flags->watchdog_ms = std::atoi(value.c_str());
+      ok = ParseNumber(value, 0, 1'000'000, &flags->watchdog_ms);
     } else if (std::strcmp(argv[i], "--watchdog-no-abort") == 0) {
       flags->watchdog_no_abort = true;
     } else if (ParseFlag(argv[i], "traffic-mix", &value)) {
       flags->traffic_mix = value;
     } else if (ParseFlag(argv[i], "traffic-rate-scale", &value)) {
-      flags->traffic_rate_scale = std::atof(value.c_str());
+      ok = ParseNumber(value, 1e-3, 1e6, &flags->traffic_rate_scale);
     } else if (std::strcmp(argv[i], "--edca") == 0) {
       flags->edca = true;
     } else if (std::strcmp(argv[i], "--rate-adapt") == 0) {
@@ -187,6 +204,11 @@ bool Parse(int argc, char** argv, Flags* flags) {
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "bad value (not a number in range): %s\n",
+                   argv[i]);
+      std::exit(2);
     }
   }
   return true;
@@ -208,8 +230,9 @@ bool ParseTrafficMix(const std::string& text,
     if (!model.has_value()) {
       return false;
     }
-    double fraction = std::atof(entry.c_str() + colon + 1);
-    if (fraction <= 0.0 || fraction > 1.0) {
+    double fraction = 0.0;
+    if (!ParseNumber(entry.substr(colon + 1), 0.0, 1.0, &fraction) ||
+        fraction == 0.0) {
       return false;
     }
     mix->push_back({*model, fraction});
@@ -247,16 +270,33 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  if (flags.standard != "a" && flags.standard != "n") {
+    std::fprintf(stderr, "unknown --standard value: %s\n",
+                 flags.standard.c_str());
+    return 2;
+  }
+  if (flags.proto != "tcp" && flags.proto != "udp") {
+    std::fprintf(stderr, "unknown --proto value: %s\n", flags.proto.c_str());
+    return 2;
+  }
   ScenarioConfig config;
   config.standard = flags.standard == "a" ? WifiStandard::k80211a
                                           : WifiStandard::k80211n;
-  config.data_rate_mbps = flags.rate;
-  config.n_clients = flags.clients;
-  config.hack = VariantFromName(flags.hack);
-  if (flags.hack_ack_window_us < 0) {
-    std::fprintf(stderr, "--hack-ack-window must be >= 0\n");
+  std::span<const WifiMode> modes = config.standard == WifiStandard::k80211a
+                                        ? Modes80211a()
+                                        : Modes80211n();
+  config.data_rate_mbps =
+      flags.rate > 0 ? flags.rate : modes.back().rate_mbps();
+  auto rate_kbps = static_cast<uint32_t>(config.data_rate_mbps * 1000 + 0.5);
+  if (std::none_of(modes.begin(), modes.end(), [&](const WifiMode& m) {
+        return m.rate_kbps == rate_kbps;
+      })) {
+    std::fprintf(stderr, "--rate=%g is not an 802.11%s rate\n",
+                 config.data_rate_mbps, flags.standard.c_str());
     return 2;
   }
+  config.n_clients = flags.clients;
+  config.hack = VariantFromName(flags.hack);
   if (config.hack == HackVariant::kOff &&
       (flags.hack_ack_window_us > 0 || flags.hack_ack_count > 0)) {
     std::fprintf(stderr,
@@ -333,6 +373,10 @@ int main(int argc, char** argv) {
     if (!plan.has_value()) {
       std::fprintf(stderr, "malformed --fault-plan: %s\n",
                    flags.fault_plan.c_str());
+      return 2;
+    }
+    if (plan->MaxStation() >= flags.clients) {
+      std::fprintf(stderr, "--fault-plan names a station beyond --clients\n");
       return 2;
     }
     config.fault_plan = *plan;
