@@ -138,10 +138,6 @@ ArfRateController::StationState& ArfRateController::StateFor(StationId sid) {
   if (stations_.size() <= sid) {
     StationState fresh;
     fresh.idx = initial_index_;
-    fresh.last_pick = initial_index_;
-    // Optimistic prior: an unsampled rate reads as fully delivering, so a
-    // probe_selector has no reason to avoid it before the first sample.
-    fresh.ewma_ok.fill(1.0);
     stations_.resize(sid + 1, fresh);
   }
   return stations_[sid];
@@ -151,29 +147,18 @@ size_t ArfRateController::current_index(StationId sid) const {
   return sid < stations_.size() ? stations_[sid].idx : initial_index_;
 }
 
-double ArfRateController::EwmaDeliveryRatio(StationId sid,
-                                            size_t index) const {
-  CHECK_LT(index, table_.size());
-  return sid < stations_.size() ? stations_[sid].ewma_ok[index] : 1.0;
-}
-
 size_t ArfRateController::PickModeIndex(StationId sid) {
   StationState& st = StateFor(sid);
   if (config_.probe_interval > 0 &&
       ++st.since_probe >= config_.probe_interval) {
     st.since_probe = 0;
-    size_t target = probe_selector
-                        ? probe_selector(sid, st.idx)
-                        : std::min(st.idx + 1, table_.size() - 1);
-    CHECK_LT(target, table_.size());
+    size_t target = std::min(st.idx + 1, table_.size() - 1);
     if (target != st.idx) {
       st.last_was_probe = true;
-      st.last_pick = target;
       return target;
     }
   }
   st.last_was_probe = false;
-  st.last_pick = st.idx;
   return st.idx;
 }
 
@@ -189,13 +174,9 @@ void ArfRateController::AbandonPick(StationId sid) {
 ArfRateController::Move ArfRateController::OnTxOutcome(StationId sid,
                                                        bool success) {
   StationState& st = StateFor(sid);
-  double& ewma = st.ewma_ok[st.last_pick];
-  ewma = (1.0 - config_.ewma_alpha) * ewma +
-         config_.ewma_alpha * (success ? 1.0 : 0.0);
   Move move;
   if (st.last_was_probe) {
-    // Probes only feed the EWMA table; the ARF streaks track the operating
-    // rate alone.
+    // The ARF streaks track the operating rate alone.
     st.last_was_probe = false;
     return move;
   }

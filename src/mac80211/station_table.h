@@ -19,7 +19,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -105,7 +104,7 @@ class ActiveSlotRing {
   size_t cursor_ = 0;
 };
 
-// Per-station rate adaptation: ARF with a Minstrel-lite probing hook.
+// Per-station rate adaptation: ARF with counter-driven probing.
 //
 // Each StationId carries an independent position in the MAC's rate table.
 // The core loop is classic ARF: `up_threshold` consecutive delivered
@@ -116,12 +115,9 @@ class ActiveSlotRing {
 // RTS/CTS, data losses and collision losses are therefore separated, which
 // is exactly why ARF stops collapsing to the lowest rate in dense cells.
 //
-// The Minstrel-lite part: every `probe_interval`-th data PPDU is sent at a
-// rate the controller would not otherwise pick (by default one step above
-// current; pluggable via `probe_selector`), and every outcome — probe or
-// not — feeds a per-(station, rate) EWMA delivery ratio. Probes never
-// advance the ARF streaks; they exist to keep the EWMA table warm so a
-// smarter selector has a real signal to act on.
+// Probing: every `probe_interval`-th data PPDU is sent one rate above the
+// station's current one. Probes never advance the ARF streaks, so a failed
+// probe costs one PPDU and never moves the operating rate.
 //
 // Determinism: no RNG anywhere — probing is counter-driven, so same-seed
 // runs stay reproducible.
@@ -130,8 +126,6 @@ struct RateAdaptConfig {
   int down_threshold = 2;
   // Every Nth data PPDU per station is a probe; 0 disables probing.
   int probe_interval = 16;
-  // Weight of the newest outcome in the per-rate EWMA delivery ratio.
-  double ewma_alpha = 0.25;
 };
 
 class ArfRateController {
@@ -163,11 +157,6 @@ class ArfRateController {
   const WifiMode& mode(size_t index) const { return table_[index]; }
   size_t table_size() const { return table_.size(); }
   size_t current_index(StationId sid) const;
-  double EwmaDeliveryRatio(StationId sid, size_t index) const;
-
-  // Minstrel-lite probe-target hook: given (station, current index),
-  // returns the index to sample. Defaults to one step above current.
-  std::function<size_t(StationId, size_t)> probe_selector;
 
  private:
   struct StationState {
@@ -175,12 +164,10 @@ class ArfRateController {
     int succ_streak = 0;
     int fail_streak = 0;
     int since_probe = 0;
-    size_t last_pick;
     bool last_was_probe = false;
     // Set by an ARF up-move: the first exchange at the new rate is a trial,
     // and a single failure falls straight back down.
     bool on_trial = false;
-    std::array<double, kMaxRateTableSize> ewma_ok;
   };
 
   StationState& StateFor(StationId sid);

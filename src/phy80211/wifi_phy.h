@@ -207,9 +207,6 @@ class WirelessChannel {
   void Attach(WifiPhy* phy);
   size_t attached_count() const { return phys_.size(); }
 
-  void set_delivery_mode(ChannelDeliveryMode mode) { mode_ = mode; }
-  ChannelDeliveryMode delivery_mode() const { return mode_; }
-
   // Installs a propagation model. Defaults to FixedLossPropagation — the
   // legacy broadcast medium, selected explicitly so position-less
   // construction stays valid. Installing a range-limited model aborts

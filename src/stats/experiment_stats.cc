@@ -10,9 +10,6 @@ namespace hacksim {
 void GoodputTracker::OnBytesDelivered(SimTime now, uint64_t bytes) {
   DCHECK(now >= last_) << "samples must arrive in time order";
   total_bytes_ += bytes;
-  if (first_ == SimTime::Max()) {
-    first_ = now;
-  }
   last_ = now;
   samples_.push_back(Sample{now, total_bytes_});
 }

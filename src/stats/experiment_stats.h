@@ -21,8 +21,6 @@ class GoodputTracker {
   void OnBytesDelivered(SimTime now, uint64_t bytes);
 
   uint64_t total_bytes() const { return total_bytes_; }
-  SimTime first_delivery() const { return first_; }
-  SimTime last_delivery() const { return last_; }
 
   // Goodput in Mbps over [from, to].
   double GoodputMbps(SimTime from, SimTime to) const;
@@ -36,8 +34,7 @@ class GoodputTracker {
   };
   std::vector<Sample> samples_;
   uint64_t total_bytes_ = 0;
-  SimTime first_ = SimTime::Max();
-  SimTime last_;
+  SimTime last_;  // for the time-order DCHECK
 };
 
 // Per-AC enqueue→delivery latency digest for one run. Percentiles are over

@@ -42,10 +42,6 @@ class ByteWriter {
     bytes_.push_back(static_cast<uint8_t>(v >> 16));
     bytes_.push_back(static_cast<uint8_t>(v >> 24));
   }
-  void WriteBytes(std::span<const uint8_t> data) {
-    bytes_.insert(bytes_.end(), data.begin(), data.end());
-  }
-  void WriteZeros(size_t n) { bytes_.insert(bytes_.end(), n, 0); }
 
   // Overwrites a previously written byte (e.g. to patch a length field).
   void PatchU8(size_t offset, uint8_t v) {

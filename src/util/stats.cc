@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
-#include <sstream>
-
-#include "src/util/logging.h"
 
 namespace hacksim {
 
@@ -42,86 +39,6 @@ double RunningStats::Ci95HalfWidth() const {
   int64_t df = count_ - 1;
   double t = df < static_cast<int64_t>(std::size(kT975)) ? kT975[df] : 1.960;
   return t * stddev() / std::sqrt(static_cast<double>(count_));
-}
-
-void RunningStats::Merge(const RunningStats& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  int64_t n = count_ + other.count_;
-  double delta = other.mean_ - mean_;
-  double new_mean =
-      mean_ + delta * static_cast<double>(other.count_) / static_cast<double>(n);
-  m2_ = m2_ + other.m2_ +
-        delta * delta * static_cast<double>(count_) *
-            static_cast<double>(other.count_) / static_cast<double>(n);
-  mean_ = new_mean;
-  count_ = n;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-Histogram::Histogram(double lo, double hi, int buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / buckets) {
-  CHECK_GT(buckets, 0);
-  CHECK_LT(lo, hi);
-  counts_.assign(static_cast<size_t>(buckets), 0);
-}
-
-void Histogram::Add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto idx = static_cast<size_t>((x - lo_) / width_);
-  if (idx >= counts_.size()) {
-    idx = counts_.size() - 1;  // floating-point edge at hi
-  }
-  ++counts_[idx];
-}
-
-double Histogram::Quantile(double fraction) const {
-  CHECK_GT(fraction, 0.0);
-  CHECK_LE(fraction, 1.0);
-  if (total_ == 0) {
-    return lo_;
-  }
-  auto target = static_cast<int64_t>(std::ceil(fraction * total_));
-  int64_t seen = underflow_;
-  if (seen >= target) {
-    return lo_;
-  }
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    if (seen + counts_[i] >= target) {
-      double within = counts_[i] == 0
-                          ? 0.0
-                          : static_cast<double>(target - seen) /
-                                static_cast<double>(counts_[i]);
-      return bucket_lo(static_cast<int>(i)) + within * width_;
-    }
-    seen += counts_[i];
-  }
-  return hi_;
-}
-
-std::string Histogram::ToString() const {
-  std::ostringstream os;
-  os << "hist[" << lo_ << "," << hi_ << ") n=" << total_
-     << " under=" << underflow_ << " over=" << overflow_ << " |";
-  for (int64_t c : counts_) {
-    os << " " << c;
-  }
-  return os.str();
 }
 
 }  // namespace hacksim

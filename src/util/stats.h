@@ -1,13 +1,10 @@
-// Small statistics helpers: running mean/variance (Welford), min/max,
-// fixed-bucket histograms, and time-weighted averages. Used by the stats
-// collectors that regenerate the paper's tables.
+// Small statistics helpers: running mean/variance (Welford), min/max and
+// the 95% confidence half-width the campaign engine reports.
 #ifndef SRC_UTIL_STATS_H_
 #define SRC_UTIL_STATS_H_
 
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace hacksim {
 
@@ -26,9 +23,6 @@ class RunningStats {
   double max() const { return count_ > 0 ? max_ : 0.0; }
   double sum() const { return sum_; }
 
-  // Merges another summary into this one (parallel Welford combine).
-  void Merge(const RunningStats& other);
-
   // Half-width of the two-sided 95% confidence interval on the mean:
   // t_{0.975, n-1} * stddev / sqrt(n). Student-t critical values for the
   // small sample counts campaigns actually use (exact for n <= 31, the
@@ -43,37 +37,6 @@ class RunningStats {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-// Histogram over [lo, hi) with `buckets` equal-width bins plus underflow and
-// overflow bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, int buckets);
-
-  void Add(double x);
-
-  int64_t total() const { return total_; }
-  int64_t underflow() const { return underflow_; }
-  int64_t overflow() const { return overflow_; }
-  int64_t bucket_count(int i) const { return counts_[i]; }
-  int num_buckets() const { return static_cast<int>(counts_.size()); }
-  double bucket_lo(int i) const { return lo_ + i * width_; }
-
-  // Value below which `fraction` (0..1] of samples fall. Linear
-  // interpolation within the bucket; underflow counts at lo, overflow at hi.
-  double Quantile(double fraction) const;
-
-  std::string ToString() const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<int64_t> counts_;
-  int64_t underflow_ = 0;
-  int64_t overflow_ = 0;
-  int64_t total_ = 0;
 };
 
 }  // namespace hacksim

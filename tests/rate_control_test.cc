@@ -1,8 +1,8 @@
 // Rate-adaptation tests: ARF up/down transitions pinned against scripted
-// outcome sequences, the Minstrel-lite probing hook (counter-driven probes,
-// per-rate EWMA, pluggable probe selector), the PerRateLossModel signal the
-// controller trains against, and an end-to-end two-station convergence run
-// where a lossy top rate drives the sender down to a sustainable mode.
+// outcome sequences, counter-driven probing one rate up, the
+// PerRateLossModel signal the controller trains against, and an end-to-end
+// two-station convergence run where a lossy top rate drives the sender down
+// to a sustainable mode.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -124,7 +124,7 @@ TEST(ArfRateControllerTest, ProbesEveryIntervalWithoutMovingArfState) {
     size_t pick = ctrl.PickModeIndex(0);
     if (pick != ctrl.current_index(0)) {
       ++probes;
-      EXPECT_EQ(pick, 3u) << "default probe target is one step up";
+      EXPECT_EQ(pick, 3u) << "the probe target is one step up";
       // Even a failed probe must not move the operating rate.
       ArfRateController::Move mv = ctrl.OnTxOutcome(0, false);
       EXPECT_FALSE(mv.down);
@@ -134,9 +134,6 @@ TEST(ArfRateControllerTest, ProbesEveryIntervalWithoutMovingArfState) {
     }
   }
   EXPECT_EQ(probes, 4) << "every 4th pick probes";
-  // The failed probes trained the EWMA for the probed rate only.
-  EXPECT_LT(ctrl.EwmaDeliveryRatio(0, 3), 0.5);
-  EXPECT_GT(ctrl.EwmaDeliveryRatio(0, 2), 0.9);
 }
 
 TEST(ArfRateControllerTest, AbandonedProbePickIsDeferredNotBurned) {
@@ -153,24 +150,8 @@ TEST(ArfRateControllerTest, AbandonedProbePickIsDeferredNotBurned) {
   ASSERT_EQ(ctrl.PickModeIndex(0), 3u);
   ctrl.AbandonPick(0);
   EXPECT_EQ(ctrl.PickModeIndex(0), 3u) << "probe deferred, not burned";
-  // And the abandoned pick fed no EWMA sample.
-  EXPECT_DOUBLE_EQ(ctrl.EwmaDeliveryRatio(0, 3), 1.0);
   ctrl.OnTxOutcome(0, false);
-  EXPECT_LT(ctrl.EwmaDeliveryRatio(0, 3), 1.0);
-  EXPECT_EQ(ctrl.current_index(0), 2u) << "probe failure is EWMA-only";
-}
-
-TEST(ArfRateControllerTest, ProbeSelectorHookOverridesTarget) {
-  RateAdaptConfig cfg;
-  cfg.up_threshold = 100;
-  cfg.probe_interval = 2;
-  ArfRateController ctrl(Modes80211n(), 5, cfg);
-  ctrl.probe_selector = [](StationId, size_t) -> size_t { return 0; };
-  ctrl.PickModeIndex(0);
-  ctrl.OnTxOutcome(0, true);
-  EXPECT_EQ(ctrl.PickModeIndex(0), 0u) << "hook-chosen probe target";
-  ctrl.OnTxOutcome(0, true);
-  EXPECT_EQ(ctrl.current_index(0), 5u);
+  EXPECT_EQ(ctrl.current_index(0), 2u) << "probe failure moves nothing";
 }
 
 TEST(PerRateLossModelTest, RateDependentAndControlFramesClean) {

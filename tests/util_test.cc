@@ -202,52 +202,11 @@ TEST(StatsTest, MeanAndVariance) {
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
 }
 
-TEST(StatsTest, MergeEqualsCombined) {
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  for (int i = 0; i < 100; ++i) {
-    double x = i * 0.37 - 5;
-    if (i % 2 == 0) {
-      a.Add(x);
-    } else {
-      b.Add(x);
-    }
-    all.Add(x);
-  }
-  a.Merge(b);
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(a.count(), all.count());
-}
-
 TEST(StatsTest, EmptyStatsAreZero) {
   RunningStats s;
   EXPECT_EQ(s.count(), 0);
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(HistogramTest, BucketsAndQuantiles) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) {
-    h.Add(i * 0.1);  // uniform over [0, 10)
-  }
-  EXPECT_EQ(h.total(), 100);
-  EXPECT_EQ(h.underflow(), 0);
-  EXPECT_EQ(h.overflow(), 0);
-  EXPECT_NEAR(h.Quantile(0.5), 5.0, 0.2);
-  EXPECT_NEAR(h.Quantile(0.985), 9.85, 0.2);  // footnote-7 style quantile
-}
-
-TEST(HistogramTest, OverUnderflow) {
-  Histogram h(0.0, 1.0, 4);
-  h.Add(-1.0);
-  h.Add(2.0);
-  h.Add(0.5);
-  EXPECT_EQ(h.underflow(), 1);
-  EXPECT_EQ(h.overflow(), 1);
-  EXPECT_EQ(h.total(), 3);
 }
 
 }  // namespace
