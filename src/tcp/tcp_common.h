@@ -29,30 +29,31 @@ inline uint32_t Seq32Max(uint32_t a, uint32_t b) {
   return Seq32Gt(a, b) ? a : b;
 }
 
+inline constexpr uint32_t kTcpInitialCwndSegments = 10;
+inline constexpr uint8_t kTcpWindowScale = 7;
+inline constexpr bool kTcpUseTimestamps = true;
+inline constexpr bool kTcpUseSack = true;
+
+// Delayed ACK (RFC 1122 / 5681): one ACK per kTcpDelayedAckSegments full
+// segments, or after kTcpDelayedAckTimeout, whichever first.
+inline constexpr bool kTcpDelayedAck = true;
+inline constexpr uint32_t kTcpDelayedAckSegments = 2;
+inline constexpr SimTime kTcpDelayedAckTimeout = SimTime::Millis(40);
+
+// RTO per RFC 6298 with Linux-like floor.
+inline constexpr SimTime kTcpRtoInitial = SimTime::Seconds(1);
+inline constexpr SimTime kTcpRtoMin = SimTime::Millis(200);
+inline constexpr SimTime kTcpRtoMax = SimTime::Seconds(60);
+
+// Timestamp clock granularity (Linux: 1 ms).
+inline constexpr SimTime kTcpTsGranularity = SimTime::Millis(1);
+
 struct TcpConfig {
   uint32_t mss = 1460;            // payload bytes per segment
-  uint32_t initial_cwnd_segments = 10;
   // 2014-era Linux default (tcp_rmem max ~208-256 KB untuned): bounds the
   // slow-start overshoot into the AP's 126-packet queue exactly as the
   // paper's stacks did.
   uint32_t receive_window_bytes = 256 * 1024;
-  uint8_t window_scale = 7;
-  bool use_timestamps = true;
-  bool use_sack = true;
-
-  // Delayed ACK (RFC 1122 / 5681): one ACK per `delayed_ack_segments` full
-  // segments, or after `delayed_ack_timeout`, whichever first.
-  bool delayed_ack = true;
-  uint32_t delayed_ack_segments = 2;
-  SimTime delayed_ack_timeout = SimTime::Millis(40);
-
-  // RTO per RFC 6298 with Linux-like floor.
-  SimTime rto_initial = SimTime::Seconds(1);
-  SimTime rto_min = SimTime::Millis(200);
-  SimTime rto_max = SimTime::Seconds(60);
-
-  // Timestamp clock granularity (Linux: 1 ms).
-  SimTime ts_granularity = SimTime::Millis(1);
 
   // DSCP/ToS stamped on every segment and ACK of the flow (both directions
   // use the same config). Under EDCA the MAC classifies it via AcForTos —

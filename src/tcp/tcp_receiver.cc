@@ -23,8 +23,8 @@ void TcpReceiver::OnPacket(const Packet& packet) {
     // New connection (or retransmitted SYN).
     irs_ = tcp.seq;
     rcv_nxt_ = irs_ + 1;
-    peer_timestamps_ok_ = tcp.timestamps.has_value() && config_.use_timestamps;
-    peer_sack_ok_ = tcp.sack_permitted && config_.use_sack;
+    peer_timestamps_ok_ = tcp.timestamps.has_value() && kTcpUseTimestamps;
+    peer_sack_ok_ = tcp.sack_permitted && kTcpUseSack;
     if (tcp.timestamps.has_value()) {
       ts_recent_ = tcp.timestamps->tsval;
     }
@@ -59,8 +59,8 @@ void TcpReceiver::SendSynAck() {
   tcp.flag_ack = true;
   tcp.window = 65535;
   tcp.mss = static_cast<uint16_t>(config_.mss);
-  tcp.window_scale = config_.window_scale;
-  tcp.sack_permitted = config_.use_sack;
+  tcp.window_scale = kTcpWindowScale;
+  tcp.sack_permitted = kTcpUseSack;
   if (peer_timestamps_ok_) {
     tcp.timestamps = TcpTimestamps{TsClock(scheduler_->Now()), ts_recent_};
   }
@@ -134,14 +134,14 @@ void TcpReceiver::AcceptData(const Packet& packet) {
 }
 
 void TcpReceiver::MaybeSendAck(bool force_immediate) {
-  if (!config_.delayed_ack || force_immediate ||
-      segments_since_ack_ >= config_.delayed_ack_segments) {
+  if (!kTcpDelayedAck || force_immediate ||
+      segments_since_ack_ >= kTcpDelayedAckSegments) {
     SendAck();
     return;
   }
   if (delack_event_ == kInvalidEventId) {
     delack_event_ = scheduler_->ScheduleIn(
-        config_.delayed_ack_timeout, [this]() { OnDelackTimer(); },
+        kTcpDelayedAckTimeout, [this]() { OnDelackTimer(); },
         EventClass::kTransportTimer);
   }
 }
@@ -159,7 +159,7 @@ uint16_t TcpReceiver::AdvertisedWindowField() const {
   if (window_override) {
     window_bytes = window_override(stats_.acks_sent);
   }
-  uint32_t field = window_bytes >> config_.window_scale;
+  uint32_t field = window_bytes >> kTcpWindowScale;
   return static_cast<uint16_t>(std::min<uint32_t>(field, 65535));
 }
 

@@ -13,8 +13,8 @@ TcpSender::TcpSender(Scheduler* scheduler, TcpConfig config, FiveTuple flow,
       flow_(flow),
       send_(std::move(send)),
       bytes_to_send_(bytes_to_send),
-      rto_(config.rto_initial) {
-  cwnd_ = config_.initial_cwnd_segments * config_.mss;
+      rto_(kTcpRtoInitial) {
+  cwnd_ = kTcpInitialCwndSegments * config_.mss;
 }
 
 void TcpSender::Start() {
@@ -31,9 +31,9 @@ void TcpSender::SendSyn() {
   tcp.flag_syn = true;
   tcp.window = 65535;
   tcp.mss = static_cast<uint16_t>(config_.mss);
-  tcp.window_scale = config_.window_scale;
-  tcp.sack_permitted = config_.use_sack;
-  if (config_.use_timestamps) {
+  tcp.window_scale = kTcpWindowScale;
+  tcp.sack_permitted = kTcpUseSack;
+  if (kTcpUseTimestamps) {
     tcp.timestamps = TcpTimestamps{TsClock(scheduler_->Now()), 0};
   }
   Packet p = Packet::MakeTcp(flow_.src_ip, flow_.dst_ip, tcp, 0);
@@ -88,7 +88,7 @@ void TcpSender::SendSegment(uint32_t seq, uint32_t len,
   tcp.ack = rcv_nxt_;
   tcp.flag_ack = true;
   tcp.window = 65535;
-  if (config_.use_timestamps && peer_timestamps_ok_) {
+  if (kTcpUseTimestamps && peer_timestamps_ok_) {
     tcp.timestamps = TcpTimestamps{TsClock(scheduler_->Now()), ts_recent_};
   }
   Packet p = Packet::MakeTcp(flow_.src_ip, flow_.dst_ip, tcp, len);
@@ -135,9 +135,9 @@ void TcpSender::OnPacket(const Packet& packet) {
       rcv_nxt_ = tcp.seq + 1;
       peer_window_ = tcp.window;
       peer_wscale_ = tcp.window_scale.value_or(0);
-      peer_sack_ok_ = tcp.sack_permitted && config_.use_sack;
+      peer_sack_ok_ = tcp.sack_permitted && kTcpUseSack;
       peer_timestamps_ok_ =
-          tcp.timestamps.has_value() && config_.use_timestamps;
+          tcp.timestamps.has_value() && kTcpUseTimestamps;
       if (tcp.timestamps.has_value()) {
         ts_recent_ = tcp.timestamps->tsval;
       }
@@ -432,8 +432,8 @@ void TcpSender::RestartRtoTimer() {
   SimTime rto = rto_;
   for (int i = 0; i < rto_backoff_; ++i) {
     rto = rto * 2;
-    if (rto > config_.rto_max) {
-      rto = config_.rto_max;
+    if (rto > kTcpRtoMax) {
+      rto = kTcpRtoMax;
       break;
     }
   }
@@ -461,9 +461,9 @@ void TcpSender::UpdateRtt(SimTime measured) {
     rttvar_ = SimTime::Nanos((3 * rttvar_.ns() + err) / 4);
     srtt_ = SimTime::Nanos((7 * srtt_.ns() + measured.ns()) / 8);
   }
-  SimTime rto = srtt_ + std::max(config_.ts_granularity,
+  SimTime rto = srtt_ + std::max(kTcpTsGranularity,
                                  SimTime::Nanos(4 * rttvar_.ns()));
-  rto_ = std::clamp(rto, config_.rto_min, config_.rto_max);
+  rto_ = std::clamp(rto, kTcpRtoMin, kTcpRtoMax);
 }
 
 }  // namespace hacksim
