@@ -45,7 +45,7 @@ int main() {
   }
   std::printf("\npaper: UDP ~135 flat; MoreData gains 15%% (1 client) to "
               "22%% (10); opportunistic ~= stock\n");
-  std::printf("see EXPERIMENTS.md for why our 802.11n MoreData gains sit "
-              "at the low end of the paper's band\n");
+  std::printf("gap: our 802.11n MoreData gains (gain%% column) sit below "
+              "the paper's 15-22%% band; the cause is not yet isolated\n");
   return 0;
 }

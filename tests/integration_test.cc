@@ -166,9 +166,8 @@ TEST(IntegrationTest, MoreDataCompetitiveWithOpportunistic) {
   // Fig 10 comparison at 2 clients. In the paper MORE DATA clearly beats
   // the opportunistic variant; in our reproduction the two are close at
   // 802.11n (our opportunistic rides Block ACKs whenever a batch beats the
-  // client's DCF access, which at saturation is common — see
-  // EXPERIMENTS.md). Assert both beat stock, and MORE DATA is not worse
-  // than opportunistic beyond noise.
+  // client's DCF access, which at saturation is common). Assert both beat
+  // stock, and MORE DATA is not worse than opportunistic beyond noise.
   double stock = 0.0;
   double more_data = 0.0;
   double opportunistic = 0.0;
