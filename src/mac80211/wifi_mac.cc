@@ -122,6 +122,7 @@ WifiMac::WifiMac(Scheduler* scheduler, WifiPhy* phy, MacAddress address,
     // legacy mode takes none of these forks, so dcf_'s stream is untouched).
     // BE needs no engine: dcf_ already runs AIFS[BE]/CW[BE] (= DIFS and the
     // PHY's CW bounds), see EngineFor().
+    contending_acs_ = {kAcVo, kAcVi, kAcBe, kAcBk};
     for (uint8_t ac = 0; ac < kNumAcs; ++ac) {
       if (ac == kAcBe) {
         continue;
@@ -287,10 +288,8 @@ void WifiMac::UpdateServiceRing(TxState& st) {
   if (st.service_slot == TxState::kNoServiceSlot) {
     return;  // never enqueued to: cannot have work
   }
-  for (uint8_t ac = 0; ac < kNumAcs; ++ac) {
-    if (HasEngine(ac)) {
-      ac_rings_[ac].Set(st.service_slot, AcHasWork(st, ac));
-    }
+  for (uint8_t ac : contending_acs_) {
+    ac_rings_[ac].Set(st.service_slot, AcHasWork(st, ac));
   }
 }
 
@@ -396,9 +395,8 @@ void WifiMac::MaybeRequestAccess() {
     return;
   }
   // Every AC with work contends independently; the internal contention in
-  // OnAccessGranted resolves same-instant winners. With EDCA off only the
-  // BE ring ever holds work.
-  for (uint8_t ac = 0; ac < kNumAcs; ++ac) {
+  // OnAccessGranted resolves same-instant winners.
+  for (uint8_t ac : contending_acs_) {
     if (ac_rings_[ac].Empty()) {
       continue;
     }
@@ -440,25 +438,22 @@ void WifiMac::OnAccessGranted(uint8_t ac) {
   // FIFO order, so both directions are handled: if a HIGHER-priority
   // engine's grant is armed for this instant (it fires later this ns),
   // *we* are the loser and stand down; any LOWER-priority engine armed
-  // for this instant loses to us. An AC with no engine never contends.
-  for (uint8_t hi = 0; hi < ac; ++hi) {
-    DcfEngine& high = EngineFor(hi);
-    if (HasEngine(hi) && high.has_armed_grant() &&
-        high.armed_grant_time() == now) {
-      ++stats_.virtual_collisions;
+  // for this instant loses to us. contending_acs_ runs highest priority
+  // first, so every higher AC is checked before any lower one is demoted.
+  for (uint8_t other : contending_acs_) {
+    DcfEngine& engine = EngineFor(other);
+    if (other == ac || !engine.has_armed_grant() ||
+        engine.armed_grant_time() != now) {
+      continue;
+    }
+    ++stats_.virtual_collisions;
+    if (other < ac) {
       DcfEngine& self = EngineFor(ac);
       self.NotifyTxFailure();
       self.RequestAccess();
       return;
     }
-  }
-  for (uint8_t lo = ac + 1; lo < kNumAcs; ++lo) {
-    DcfEngine& low = EngineFor(lo);
-    if (HasEngine(lo) && low.has_armed_grant() &&
-        low.armed_grant_time() == now) {
-      ++stats_.virtual_collisions;
-      low.NotifyInternalCollision();
-    }
+    engine.NotifyInternalCollision();
   }
   current_ac_ = ac;
   StationId sid = kInvalidStationId;

@@ -303,8 +303,8 @@ class WifiMac final : public WifiPhyListener {
     return rx_[sid];
   }
   void EnsureServiceSlot(StationId sid, TxState& st);
-  // Re-syncs the station's bit in the ring of every AC that has an engine
-  // with AcHasWork(); call after any mutation that can change it.
+  // Re-syncs the station's bit in the ring of every contending AC with
+  // AcHasWork(); call after any mutation that can change it.
   void UpdateServiceRing(TxState& st);
 
   // --- EDCA ------------------------------------------------------------------
@@ -314,10 +314,6 @@ class WifiMac final : public WifiPhyListener {
   // bit-identical: same engine, same RNG stream, same call sites.
   DcfEngine& EngineFor(uint8_t ac) {
     return edca_engines_[ac] != nullptr ? *edca_engines_[ac] : dcf_;
-  }
-  // Whether `ac` contends at all: BE always, VO/VI/BK only with EDCA on.
-  bool HasEngine(uint8_t ac) const {
-    return ac == kAcBe || edca_engines_[ac] != nullptr;
   }
   // Applies `fn` to every live engine — dcf_ plus any per-AC engines.
   // Medium-state transitions (busy/idle edges, EIFS, radio reset) broadcast
@@ -413,6 +409,11 @@ class WifiMac final : public WifiPhyListener {
   // Per-AC engines, EDCA mode only. [kAcBe] stays null — dcf_ IS the BE
   // engine (see EngineFor); in legacy mode the whole array is null.
   std::array<std::unique_ptr<DcfEngine>, kNumAcs> edca_engines_;
+  // The ACs that have an engine, highest priority first: all four with
+  // EDCA on, only BE with it off. Ring updates, access requests and
+  // internal contention walk this list, so an AC with no engine costs
+  // nothing.
+  std::vector<uint8_t> contending_acs_{kAcBe};
   HackHooks* hack_hooks_ = nullptr;
   MacStats stats_;
 
@@ -427,8 +428,8 @@ class WifiMac final : public WifiPhyListener {
   // (the legacy round_robin_ vector order). One ring per AC, in slot
   // lockstep (same AddSlot/ReleaseSlot history, so slot s means the same
   // station everywhere), each picked via an O(1) cursor. A slot is active
-  // in ring[ac] iff AcHasWork(st, ac); only the rings of ACs with an engine
-  // are kept, so with EDCA off only ring[kAcBe] ever holds work.
+  // in ring[ac] iff AcHasWork(st, ac); only the rings of contending ACs are
+  // kept, so with EDCA off only ring[kAcBe] ever holds work.
   std::vector<StationId> service_slot_station_;
   std::array<ActiveSlotRing, kNumAcs> ac_rings_;
   // When each AC last asked for the medium: the start of a TCP-ACK PPDU's
