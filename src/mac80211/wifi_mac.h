@@ -308,10 +308,10 @@ class WifiMac final : public WifiPhyListener {
   void UpdateServiceRing(TxState& st);
 
   // --- EDCA ------------------------------------------------------------------
-  // The engine contending for `ac`: the dedicated per-AC engine, or dcf_
-  // for BE (and for every AC in legacy mode, where no per-AC engines
-  // exist). dcf_ doubling as the BE engine is what keeps legacy runs
-  // bit-identical: same engine, same RNG stream, same call sites.
+  // The engine contending for `ac` (one of contending_acs_): the dedicated
+  // per-AC engine, or dcf_ for BE. dcf_ doubling as the BE engine is what
+  // keeps legacy runs bit-identical: same engine, same RNG stream, same
+  // call sites.
   DcfEngine& EngineFor(uint8_t ac) {
     return edca_engines_[ac] != nullptr ? *edca_engines_[ac] : dcf_;
   }
