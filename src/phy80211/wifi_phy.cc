@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "src/util/logging.h"
 
@@ -18,6 +19,12 @@ SimTime PropagationDelay(double distance_m) {
   auto prop_ns = static_cast<int64_t>(distance_m / kMetersPerNs);
   return SimTime::Nanos(std::max<int64_t>(prop_ns, 1));
 }
+
+// Widest delay spread (max - min, in ns) ordered by counting sort: 65.5 us,
+// i.e. ~19.6 km of path-length difference. A real cell spans a few hundred
+// ns; wider fixed-loss geometries fall back to a comparison sort rather than
+// size the slot array by their extent.
+constexpr int64_t kMaxCountingSortSpanNs = int64_t{1} << 16;
 }  // namespace
 
 double DistanceMeters(Position a, Position b) {
@@ -49,7 +56,7 @@ bool WifiPhy::Send(Ppdu ppdu) {
     arrival.corrupted = true;
   }
   UpdateCca();
-  channel_->Transmit(this, std::move(ppdu));
+  tx_ppdu_id_ = channel_->Transmit(this, std::move(ppdu));
   return true;
 }
 
@@ -73,9 +80,10 @@ void WifiPhy::SetRadioOn(bool on) {
 }
 
 void WifiPhy::OnOwnTxEnd(const Ppdu& ppdu) {
-  if (!transmitting_) {
+  if (!transmitting_ || ppdu.ppdu_id != tx_ppdu_id_) {
     // The transmission was aborted by a radio power-down; the MAC behind
-    // this PHY was reset with it, so no listener callback.
+    // this PHY was reset with it, so no listener callback. The radio may
+    // already be sending again, so the id (not transmitting_) decides.
     CHECK_GT(aborted_tx_ends_, 0u);
     --aborted_tx_ends_;
     return;
@@ -87,8 +95,8 @@ void WifiPhy::OnOwnTxEnd(const Ppdu& ppdu) {
   }
 }
 
-void WifiPhy::OnArrivalStart(uint64_t arrival_id, PpduRef ppdu, SimTime end,
-                             double distance_m, double rx_power_dbm) {
+void WifiPhy::OnArrivalStart(PpduRef ppdu, SimTime end, double distance_m,
+                             double rx_power_dbm) {
   if (!radio_on_) {
     // Dead receiver: ignore the frame, but remember that its already
     // scheduled end edge will knock on an empty arrivals_ list.
@@ -96,6 +104,7 @@ void WifiPhy::OnArrivalStart(uint64_t arrival_id, PpduRef ppdu, SimTime end,
     return;
   }
   bool capture = channel_->propagation().limits_range();
+  uint64_t ppdu_id = ppdu->ppdu_id;
   Arrival arrival{std::move(ppdu), end, distance_m,
                   /*rx_power_mw=*/capture ? DbmToMw(rx_power_dbm) : 1.0,
                   /*interference_mw=*/0.0,
@@ -121,14 +130,14 @@ void WifiPhy::OnArrivalStart(uint64_t arrival_id, PpduRef ppdu, SimTime end,
       }
     }
   }
-  arrivals_.emplace_back(arrival_id, std::move(arrival));
+  arrivals_.emplace_back(ppdu_id, std::move(arrival));
   UpdateCca();
 }
 
-void WifiPhy::OnArrivalEnd(uint64_t arrival_id) {
+void WifiPhy::OnArrivalEnd(uint64_t ppdu_id) {
   auto it = std::find_if(arrivals_.begin(), arrivals_.end(),
-                         [arrival_id](const auto& entry) {
-                           return entry.first == arrival_id;
+                         [ppdu_id](const auto& entry) {
+                           return entry.first == ppdu_id;
                          });
   if (it == arrivals_.end()) {
     // An arrival cleared by a radio power-down, or one that began while
@@ -222,8 +231,9 @@ void WirelessChannel::set_propagation(std::unique_ptr<PropagationModel> model) {
   propagation_ = std::move(model);
 }
 
-void WirelessChannel::Transmit(WifiPhy* sender, Ppdu ppdu) {
-  ppdu.ppdu_id = next_ppdu_id_++;
+uint64_t WirelessChannel::Transmit(WifiPhy* sender, Ppdu ppdu) {
+  uint64_t ppdu_id = next_ppdu_id_++;
+  ppdu.ppdu_id = ppdu_id;
   SimTime duration = ppdu.Duration();
   SimTime now = scheduler_->Now();
 
@@ -275,6 +285,7 @@ void WirelessChannel::Transmit(WifiPhy* sender, Ppdu ppdu) {
   scheduler_->ScheduleAt(
       now + duration, [sender, shared]() { sender->OnOwnTxEnd(*shared); },
       EventClass::kChannel);
+  return ppdu_id;
 }
 
 // Reference semantics: two events per attached PHY, scheduled in attach
@@ -296,17 +307,15 @@ void WirelessChannel::TransmitPerPhy(WifiPhy* sender, PpduRef ppdu,
       continue;
     }
     SimTime prop = PropagationDelay(distance);
-    uint64_t arrival_id = next_arrival_id_++;
     scheduler_->ScheduleAt(
         now + prop,
-        [phy, arrival_id, ppdu, end = now + prop + duration, distance,
-         rx_dbm]() {
-          phy->OnArrivalStart(arrival_id, ppdu, end, distance, rx_dbm);
+        [phy, ppdu, end = now + prop + duration, distance, rx_dbm]() {
+          phy->OnArrivalStart(ppdu, end, distance, rx_dbm);
         },
         EventClass::kChannel);
     scheduler_->ScheduleAt(
         now + prop + duration,
-        [phy, arrival_id]() { phy->OnArrivalEnd(arrival_id); },
+        [phy, ppdu_id = ppdu->ppdu_id]() { phy->OnArrivalEnd(ppdu_id); },
         EventClass::kChannel);
   }
 }
@@ -318,16 +327,21 @@ void WirelessChannel::TransmitPerPhy(WifiPhy* sender, PpduRef ppdu,
 //      moves in time.
 //   2. Within a group, edges run in attach order — the order the per-PHY
 //      events would have been popped (per-PHY scheduling assigns seqs in
-//      attach order, and a PHY's start/end never share a nanosecond because
-//      propagation delays are far shorter than frame durations).
-//   3. Groups are scheduled now, between the airtime event and the sender's
-//      tx-end event, so same-nanosecond FIFO ordering against *other* PPDUs'
-//      events (and the sender's own) is unchanged.
+//      attach order). A group normally holds only starts or only ends; when
+//      a start run and an end run share a nanosecond (a delay spread wider
+//      than the frame), Fire interleaves them by attach index. One PHY's
+//      own start and end never share a nanosecond: the frame has airtime.
+//   3. Groups are scheduled now, in time order, between the airtime event
+//      and the sender's tx-end event, so same-nanosecond FIFO ordering
+//      against *other* PPDUs' events (and the sender's own) is unchanged.
+// The order itself costs O(n): one counting sort of the in-range receivers
+// by delay, written straight into the PPDU's shared Delivery record.
 void WirelessChannel::TransmitBatched(WifiPhy* sender, PpduRef ppdu,
                                       SimTime now, SimTime duration) {
   bool ranged = propagation_->limits_range();
-  std::vector<DeliveryEdge> edges;
-  edges.reserve(2 * phys_.size());
+  in_range_.clear();
+  int64_t min_delay = INT64_MAX;
+  int64_t max_delay = 0;
   for (size_t idx = 0; idx < phys_.size(); ++idx) {
     WifiPhy* phy = phys_[idx];
     if (phy == sender) {
@@ -341,42 +355,98 @@ void WirelessChannel::TransmitBatched(WifiPhy* sender, PpduRef ppdu,
       ++airtime_.out_of_range;
       continue;
     }
-    SimTime prop = PropagationDelay(distance);
-    SimTime start = now + prop;
-    SimTime end = start + duration;
-    uint64_t arrival_id = next_arrival_id_++;
-    edges.push_back(DeliveryEdge{start, idx, phy, arrival_id, end, distance,
-                                 rx_dbm, /*is_start=*/true});
-    edges.push_back(DeliveryEdge{end, idx, phy, arrival_id, end, distance,
-                                 rx_dbm, /*is_start=*/false});
+    int64_t delay = PropagationDelay(distance).ns();
+    min_delay = std::min(min_delay, delay);
+    max_delay = std::max(max_delay, delay);
+    in_range_.push_back(Receiver{phy, distance, rx_dbm, delay,
+                                 static_cast<uint32_t>(idx)});
   }
-  std::sort(edges.begin(), edges.end(),
-            [](const DeliveryEdge& a, const DeliveryEdge& b) {
-              if (a.at != b.at) {
-                return a.at < b.at;
-              }
-              return a.attach_idx < b.attach_idx;
-            });
-  for (size_t lo = 0; lo < edges.size();) {
-    size_t hi = lo + 1;
-    while (hi < edges.size() && edges[hi].at == edges[lo].at) {
+  if (in_range_.empty()) {
+    return;
+  }
+  auto delivery = std::make_shared<Delivery>();
+  delivery->ppdu = std::move(ppdu);
+  delivery->sent_at = now;
+  delivery->duration = duration;
+  OrderByDelay(min_delay, max_delay, delivery->receivers);
+
+  // Walk the start runs (at now + delay) and the end runs (at now + delay +
+  // duration) together in time order, one event per distinct nanosecond.
+  const std::vector<Receiver>& rx = delivery->receivers;
+  auto run_end = [&rx](uint32_t lo) {
+    uint32_t hi = lo + 1;
+    while (hi < rx.size() && rx[hi].delay_ns == rx[lo].delay_ns) {
       ++hi;
     }
-    std::vector<DeliveryEdge> group(edges.begin() + lo, edges.begin() + hi);
+    return hi;
+  };
+  auto n = static_cast<uint32_t>(rx.size());
+  for (uint32_t s = 0, e = 0; e < n;) {
+    SimTime end_at = now + SimTime::Nanos(rx[e].delay_ns) + duration;
+    SimTime at = end_at;
+    uint32_t start_lo = s;
+    uint32_t end_lo = e;
+    if (s < n && now + SimTime::Nanos(rx[s].delay_ns) <= end_at) {
+      at = now + SimTime::Nanos(rx[s].delay_ns);
+      s = run_end(s);
+    }
+    if (at == end_at) {
+      e = run_end(e);
+    }
+    // A kind this group lacks has an empty range (its cursor did not move).
     scheduler_->ScheduleAt(
-        edges[lo].at,
-        [ppdu, group = std::move(group)]() {
-          for (const DeliveryEdge& e : group) {
-            if (e.is_start) {
-              e.phy->OnArrivalStart(e.arrival_id, ppdu, e.end, e.distance_m,
-                                    e.rx_power_dbm);
-            } else {
-              e.phy->OnArrivalEnd(e.arrival_id);
-            }
-          }
+        at,
+        [delivery, start_lo, start_hi = s, end_lo, end_hi = e]() {
+          delivery->Fire(start_lo, start_hi, end_lo, end_hi);
         },
         EventClass::kChannel);
-    lo = hi;
+  }
+}
+
+// Stable counting sort of in_range_ (attach order) by delay into `out`, so
+// equal delays keep attach order. A spread too wide for the slot array
+// takes the equivalent stable comparison sort.
+void WirelessChannel::OrderByDelay(int64_t min_delay_ns, int64_t max_delay_ns,
+                                   std::vector<Receiver>& out) {
+  int64_t span = max_delay_ns - min_delay_ns + 1;
+  if (span > kMaxCountingSortSpanNs) {
+    out = in_range_;
+    std::stable_sort(out.begin(), out.end(),
+                     [](const Receiver& a, const Receiver& b) {
+                       return a.delay_ns < b.delay_ns;
+                     });
+    return;
+  }
+  // delay_slots_[d - min + 1] counts delay d; the prefix sum turns slot
+  // d - min into the first output index for delay d.
+  delay_slots_.assign(static_cast<size_t>(span) + 1, 0);
+  for (const Receiver& r : in_range_) {
+    ++delay_slots_[r.delay_ns - min_delay_ns + 1];
+  }
+  std::partial_sum(delay_slots_.begin(), delay_slots_.end(),
+                   delay_slots_.begin());
+  out.resize(in_range_.size());
+  for (const Receiver& r : in_range_) {
+    out[delay_slots_[r.delay_ns - min_delay_ns]++] = r;
+  }
+}
+
+// One delivery event: the start edges [start_lo, start_hi) and the end
+// edges [end_lo, end_hi), interleaved by attach index (either range may be
+// empty).
+void WirelessChannel::Delivery::Fire(uint32_t start_lo, uint32_t start_hi,
+                                     uint32_t end_lo, uint32_t end_hi) const {
+  while (start_lo < start_hi || end_lo < end_hi) {
+    if (end_lo == end_hi ||
+        (start_lo < start_hi &&
+         receivers[start_lo].attach_idx < receivers[end_lo].attach_idx)) {
+      const Receiver& r = receivers[start_lo++];
+      r.phy->OnArrivalStart(ppdu,
+                            sent_at + SimTime::Nanos(r.delay_ns) + duration,
+                            r.distance_m, r.rx_power_dbm);
+    } else {
+      receivers[end_lo++].phy->OnArrivalEnd(ppdu->ppdu_id);
+    }
   }
 }
 

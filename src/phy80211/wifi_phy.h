@@ -23,10 +23,12 @@
 // the same nanosecond into one scheduler event (ChannelDeliveryMode::
 // kBatched, the default), so per-PPDU event count is bounded by the number
 // of distinct propagation delays — the cell's diameter in light-ns — rather
-// than by the attached-PHY count. Arrival times, callback order, and
-// corruption semantics are bit-identical to the historical one-event-per-PHY
-// scheduling, which remains available (kPerPhyEvent) as the reference
-// semantics for the equivalence tests.
+// than by the attached-PHY count. The receivers are ordered once per PPDU by
+// (delay, attach index) with a counting sort, and every event of the PPDU
+// covers a range of that one shared order. Arrival times, callback order,
+// and corruption semantics are bit-identical to the historical
+// one-event-per-PHY scheduling, which remains available (kPerPhyEvent) as
+// the reference semantics for the equivalence tests.
 #ifndef SRC_PHY80211_WIFI_PHY_H_
 #define SRC_PHY80211_WIFI_PHY_H_
 
@@ -114,10 +116,12 @@ class WifiPhy {
   bool IsCcaBusy() const { return transmitting_ || !arrivals_.empty(); }
 
   // --- channel-facing interface -------------------------------------------
+  // An arrival is keyed by its PPDU's id: a PHY receives a given PPDU at
+  // most once.
   void AttachTo(WirelessChannel* channel);
-  void OnArrivalStart(uint64_t arrival_id, PpduRef ppdu, SimTime end,
-                      double distance_m, double rx_power_dbm);
-  void OnArrivalEnd(uint64_t arrival_id);
+  void OnArrivalStart(PpduRef ppdu, SimTime end, double distance_m,
+                      double rx_power_dbm);
+  void OnArrivalEnd(uint64_t ppdu_id);
   void OnOwnTxEnd(const Ppdu& ppdu);
 
   const PhyStats& stats() const { return stats_; }
@@ -146,17 +150,21 @@ class WifiPhy {
   Position position_;
   bool has_position_ = false;
 
-  // In-flight arrivals, insertion (= id) order. Rarely more than two deep;
-  // a flat vector beats the former std::map on every touch.
+  // In-flight arrivals keyed by ppdu_id, in start order. Rarely more than
+  // two deep; a flat vector beats the former std::map on every touch.
   std::vector<std::pair<uint64_t, Arrival>> arrivals_;
   bool transmitting_ = false;
+  // The ppdu_id of the transmission in progress (or of the last one). A
+  // tx-end carrying any other id belongs to an aborted transmission.
+  uint64_t tx_ppdu_id_ = 0;
   bool cca_busy_reported_ = false;
   bool radio_on_ = true;
   // End events owed for arrivals killed by a power-down (or ignored while
   // off); OnArrivalEnd swallows exactly this many unknown ids. Same scheme
-  // for an aborted own transmission's tx-end event. Correctness relies on
-  // events firing in time order: every swallowed end edge belongs to an
-  // arrival that provably started before the power transition.
+  // for an aborted own transmission's tx-end event, recognised by its
+  // ppdu_id even when a newer transmission is already on air. Correctness
+  // relies on events firing in time order: every swallowed end edge belongs
+  // to an arrival that provably started before the power transition.
   uint64_t dropped_arrival_ends_ = 0;
   uint64_t aborted_tx_ends_ = 0;
   PhyStats stats_;
@@ -215,30 +223,42 @@ class WirelessChannel {
   const PropagationModel& propagation() const { return *propagation_; }
 
   // Propagates `ppdu` from `sender` to every other attached PHY with
-  // per-pair propagation delay (distance / c).
-  void Transmit(WifiPhy* sender, Ppdu ppdu);
+  // per-pair propagation delay (distance / c). Returns the ppdu_id it
+  // assigned.
+  uint64_t Transmit(WifiPhy* sender, Ppdu ppdu);
 
   const ChannelAirtime& airtime() const { return airtime_; }
 
  private:
-  // One receiver's arrival start or end edge inside a batched delivery
-  // event. `attach_idx` preserves the historical callback order for edges
-  // sharing a nanosecond.
-  struct DeliveryEdge {
-    SimTime at;
-    size_t attach_idx;
+  // One in-range receiver of a batched delivery.
+  struct Receiver {
     WifiPhy* phy;
-    uint64_t arrival_id;
-    SimTime end;           // arrival end time (start edges only)
-    double distance_m;     // start edges only
-    double rx_power_dbm;   // start edges only
-    bool is_start;
+    double distance_m;
+    double rx_power_dbm;
+    int64_t delay_ns;
+    uint32_t attach_idx;
+  };
+
+  // Everything a PPDU's delivery events share: the payload and its
+  // receivers in (delay, attach index) order. Each event covers one run of
+  // equal-delay starts, one run of equal-delay ends, or both when a start
+  // run and an end run land on the same nanosecond.
+  struct Delivery {
+    PpduRef ppdu;
+    SimTime sent_at;
+    SimTime duration;
+    std::vector<Receiver> receivers;
+
+    void Fire(uint32_t start_lo, uint32_t start_hi, uint32_t end_lo,
+              uint32_t end_hi) const;
   };
 
   void TransmitBatched(WifiPhy* sender, PpduRef ppdu, SimTime now,
                        SimTime duration);
   void TransmitPerPhy(WifiPhy* sender, PpduRef ppdu, SimTime now,
                       SimTime duration);
+  void OrderByDelay(int64_t min_delay_ns, int64_t max_delay_ns,
+                    std::vector<Receiver>& out);
 
   Scheduler* scheduler_;
   ChannelDeliveryMode mode_;
@@ -246,7 +266,10 @@ class WirelessChannel {
       std::make_unique<FixedLossPropagation>();
   std::vector<WifiPhy*> phys_;
   uint64_t next_ppdu_id_ = 1;
-  uint64_t next_arrival_id_ = 1;
+  // Per-PPDU scratch reused across transmissions: the in-range receivers in
+  // attach order, and the counting sort's per-nanosecond slots.
+  std::vector<Receiver> in_range_;
+  std::vector<uint32_t> delay_slots_;
   ChannelAirtime airtime_;
   int active_transmissions_ = 0;
   SimTime overlap_started_;

@@ -2,14 +2,17 @@
 // frame sizes, loss models, and the collision semantics of the shared medium.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <tuple>
 #include <vector>
 
 #include "src/phy80211/frame.h"
 #include "src/phy80211/loss_model.h"
+#include "src/phy80211/propagation.h"
 #include "src/phy80211/wifi_mode.h"
 #include "src/phy80211/wifi_phy.h"
+#include "src/sim/random.h"
 
 namespace hacksim {
 namespace {
@@ -220,13 +223,17 @@ class RecordingListener : public WifiPhyListener {
     last_type = ppdu.first().type;
   }
   void OnRxCorrupted() override { ++corrupted; }
-  void OnTxEnd(const Ppdu&) override { ++tx_done; }
+  void OnTxEnd(const Ppdu& ppdu) override {
+    ++tx_done;
+    tx_ended.push_back(ppdu.ppdu_id);
+  }
   void OnCcaBusy() override { ++busy_edges; }
   void OnCcaIdle() override { ++idle_edges; }
 
   int received = 0;
   int corrupted = 0;
   int tx_done = 0;
+  std::vector<uint64_t> tx_ended;  // ppdu_id per OnTxEnd
   int busy_edges = 0;
   int idle_edges = 0;
   WifiFrameType last_type = WifiFrameType::kData;
@@ -336,6 +343,38 @@ TEST(WifiPhyTest, LossModelDropsEverything) {
   EXPECT_EQ(f.lb.received, 0);
   EXPECT_EQ(f.lb.corrupted, 1);
   EXPECT_EQ(f.lc.received, 1);  // C's channel is clean
+}
+
+// A radio reset aborts a transmission whose tx-end event is already
+// scheduled. When the radio sends again before that stale end fires, the
+// stale end is swallowed; it must not end the new transmission early.
+TEST(WifiPhyTest, StaleTxEndAfterResetDoesNotEndNextTransmission) {
+  MediumFixture f;
+  Ppdu first = MakeTestPpdu(MacAddress::ForStation(0),
+                            MacAddress::ForStation(1));
+  SimTime air = first.Duration();
+  ASSERT_TRUE(f.phy_a.Send(std::move(first)));
+  f.sched.ScheduleAt(SimTime::Nanos(air.ns() / 4), [&f]() {
+    f.phy_a.SetRadioOn(false);
+    f.phy_a.SetRadioOn(true);
+  });
+  f.sched.ScheduleAt(SimTime::Nanos(air.ns() / 2), [&f]() {
+    ASSERT_TRUE(f.phy_a.Send(
+        MakeTestPpdu(MacAddress::ForStation(0), MacAddress::ForStation(1))));
+  });
+  // Past the aborted PPDU's end, before the second one's.
+  f.sched.RunUntil(air);
+  EXPECT_TRUE(f.phy_a.transmitting());
+  EXPECT_TRUE(f.phy_a.IsCcaBusy());
+  EXPECT_TRUE(f.la.tx_ended.empty());
+  f.sched.Run();
+  EXPECT_FALSE(f.phy_a.transmitting());
+  EXPECT_EQ(f.la.tx_ended, std::vector<uint64_t>{2});
+  // A fresh transmission after both ends completes normally.
+  ASSERT_TRUE(f.phy_a.Send(
+      MakeTestPpdu(MacAddress::ForStation(0), MacAddress::ForStation(1))));
+  f.sched.Run();
+  EXPECT_EQ(f.la.tx_ended, (std::vector<uint64_t>{2, 3}));
 }
 
 TEST(WifiPhyTest, DistanceMeters) {
@@ -474,6 +513,151 @@ TEST(WifiPhyTest, BatchedAndPerPhyDeliveryAgreeUnderCollision) {
   EXPECT_EQ(bcr, pcr);
   EXPECT_EQ(bcc, pcc);
   EXPECT_EQ(bat, pat);
+}
+
+// --- channel callback order: batched vs per-PHY -----------------------------------
+
+// One listener callback: when, at which radio, and which kind. Every arrival
+// end produces an R(eceived) or X (corrupted) callback, a start that finds
+// its radio idle produces B(usy), and the sender sees T(x end).
+using Callback = std::tuple<int64_t, size_t, char>;
+
+class OrderRecorder : public WifiPhyListener {
+ public:
+  OrderRecorder(const Scheduler* sched, size_t phy,
+                std::vector<Callback>* log)
+      : sched_(sched), phy_(phy), log_(log) {}
+  void OnPpduReceived(const Ppdu&, const std::vector<bool>&) override {
+    Record('R');
+  }
+  void OnRxCorrupted() override { Record('X'); }
+  void OnTxEnd(const Ppdu&) override { Record('T'); }
+  void OnCcaBusy() override { Record('B'); }
+  void OnCcaIdle() override { Record('I'); }
+
+ private:
+  void Record(char kind) { log_->emplace_back(sched_->Now().ns(), phy_, kind); }
+  const Scheduler* sched_;
+  size_t phy_;
+  std::vector<Callback>* log_;
+};
+
+// Radios at `positions` (attach order) on one channel, each recording into
+// one shared callback log.
+struct OrderCell {
+  OrderCell(ChannelDeliveryMode mode, const std::vector<Position>& positions,
+            bool geometric)
+      : channel(&sched, mode) {
+    for (size_t i = 0; i < positions.size(); ++i) {
+      phys.push_back(std::make_unique<WifiPhy>(&sched, Random(10 + i)));
+      listeners.push_back(std::make_unique<OrderRecorder>(&sched, i, &log));
+      phys.back()->set_position(positions[i]);
+      phys.back()->set_listener(listeners.back().get());
+      phys.back()->AttachTo(&channel);
+    }
+    if (geometric) {
+      channel.set_propagation(std::make_unique<LogDistancePropagation>());
+    }
+  }
+  Scheduler sched;
+  WirelessChannel channel;
+  std::vector<Callback> log;
+  std::vector<std::unique_ptr<WifiPhy>> phys;
+  std::vector<std::unique_ptr<OrderRecorder>> listeners;
+};
+
+// On the x axis at a propagation delay of exactly `delay_ns` from the origin.
+Position AtDelayNs(int64_t delay_ns) {
+  return {(static_cast<double>(delay_ns) + 0.5) * 0.299792458, 0.0};
+}
+
+// A delay spread wider than the frame makes one receiver's end edge and
+// another's start edge share a nanosecond. Both modes must run them in
+// attach order, ends and starts interleaved: the batched channel folds them
+// into one event instead of splitting it by edge kind. A 24 us control frame
+// keeps the spread inside the counting sort; a ~170 us data frame pushes it
+// past the counting sort's span limit onto the comparison-sort fallback.
+TEST(WifiPhyTest, SharedStartEndNanosecondRunsInAttachOrderInBothModes) {
+  WifiFrame ack;
+  ack.type = WifiFrameType::kAck;
+  ack.ta = MacAddress::ForStation(0);
+  ack.ra = MacAddress::ForStation(1);
+  Ppdu control;
+  control.aggregated = false;
+  control.mode = ModeForRate(Modes80211a(), 54);
+  control.mpdus.push_back(std::move(ack));
+  Ppdu data = MakeTestPpdu(MacAddress::ForStation(0),
+                           MacAddress::ForStation(1));
+  for (const Ppdu& ppdu : {control, data}) {
+    const int64_t near = 10;
+    const int64_t far = near + ppdu.Duration().ns();
+    // Attach order: sender, then near/far receivers alternating, so the
+    // shared nanosecond holds end, start, end, start.
+    const std::vector<Position> line = {{0, 0},          AtDelayNs(near),
+                                        AtDelayNs(far),  AtDelayNs(near),
+                                        AtDelayNs(far)};
+    auto run = [&](ChannelDeliveryMode mode) {
+      OrderCell cell(mode, line, /*geometric=*/false);
+      EXPECT_TRUE(cell.phys[0]->Send(ppdu));
+      cell.sched.Run();
+      return std::pair{cell.log, cell.sched.events_executed()};
+    };
+    auto [batched, batched_events] = run(ChannelDeliveryMode::kBatched);
+    auto [per_phy, per_phy_events] = run(ChannelDeliveryMode::kPerPhyEvent);
+    EXPECT_EQ(batched, per_phy) << "frame of " << ppdu.Duration().ns()
+                                << " ns";
+    const std::vector<Callback> shared_ns = {
+        {far, 1, 'I'}, {far, 1, 'R'}, {far, 2, 'B'},
+        {far, 3, 'I'}, {far, 3, 'R'}, {far, 4, 'B'}};
+    EXPECT_NE(std::search(batched.begin(), batched.end(), shared_ns.begin(),
+                          shared_ns.end()),
+              batched.end());
+    // Edge nanoseconds {near, far, far + airtime}, plus the airtime ledger
+    // and the sender's tx end.
+    EXPECT_EQ(batched_events, 5u);
+    EXPECT_EQ(per_phy_events, 2u + 2u * 4u);
+  }
+}
+
+// A random cell: 64 radios at seeded positions (every fourth co-located
+// with an earlier one, so equal delays tie), eight senders whose frames
+// overlap, on the fixed-loss channel and on the geometric one (pruning and
+// SINR capture). The full callback sequence must match between modes.
+TEST(WifiPhyTest, RandomCellCallbackOrderMatchesPerPhyDelivery) {
+  Random rng(4242);
+  std::vector<Position> positions;
+  for (size_t i = 0; i < 64; ++i) {
+    if (i % 4 == 3) {
+      positions.push_back(positions[rng.NextBounded(i)]);
+    } else {
+      positions.push_back({60.0 * rng.NextDouble(), 60.0 * rng.NextDouble()});
+    }
+  }
+  for (bool geometric : {false, true}) {
+    auto run = [&](ChannelDeliveryMode mode) {
+      OrderCell cell(mode, positions, geometric);
+      for (size_t k = 0; k < 8; ++k) {
+        size_t sender = 7 * k + 1;
+        cell.sched.ScheduleAt(SimTime::Micros(40 * k), [&cell, sender]() {
+          EXPECT_TRUE(cell.phys[sender]->Send(
+              MakeTestPpdu(MacAddress::ForStation(sender),
+                           MacAddress::ForStation(0))));
+        });
+      }
+      cell.sched.Run();
+      return std::tuple{cell.log, cell.channel.airtime(),
+                        cell.sched.events_executed()};
+    };
+    auto [batched, batched_air, batched_events] =
+        run(ChannelDeliveryMode::kBatched);
+    auto [per_phy, per_phy_air, per_phy_events] =
+        run(ChannelDeliveryMode::kPerPhyEvent);
+    EXPECT_EQ(batched, per_phy) << (geometric ? "geometric" : "fixed-loss");
+    EXPECT_EQ(batched_air, per_phy_air);
+    EXPECT_LT(batched_events, per_phy_events);
+    EXPECT_GT(batched_air.collisions, 0u);
+    EXPECT_EQ(batched_air.out_of_range > 0, geometric);
+  }
 }
 
 TEST(WifiPhyTest, AirtimeLedgerCountsCollisionOverlap) {

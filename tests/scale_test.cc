@@ -127,6 +127,29 @@ TEST(BatchedDeliveryEquivalenceTest, HiddenTwoClusterRtsProtected) {
   ExpectModesEquivalent(HiddenConfig(6, /*rts_threshold=*/500));
 }
 
+// The disk-uplink-rts-1000 benchmark shape at 40 stations: uniform-disk
+// placement spreads the receivers over the most distinct delays per PPDU,
+// and the log-distance defaults prune far pairs and let near frames
+// capture through overlap.
+TEST(BatchedDeliveryEquivalenceTest, UniformDiskRtsRateAdapt) {
+  ScenarioConfig c = BaseConfig(40, TransportProto::kUdp, HackVariant::kOff);
+  c.upload = true;
+  c.topology = Topology::kUniformDisk;
+  c.propagation = LogDistancePropagation::Params{};
+  c.rts_threshold = 500;
+  c.rate_adaptation = true;
+  c.duration = SimTime::Millis(300);
+  c.start_stagger = SimTime::Micros(500);
+  ScenarioResult r = RunScenario(c);
+  EXPECT_GT(r.airtime.out_of_range, 0u);
+  uint64_t captures = 0;
+  for (const ClientResult& client : r.clients) {
+    captures += client.phy.captures;
+  }
+  EXPECT_GT(captures + r.ap_phy.captures, 0u);
+  ExpectModesEquivalent(c);
+}
+
 // Same contract for the coalesced NAV-reset probe: the default (zero-event
 // provisional deadline) and the historical armed-per-overhearer form must
 // produce bit-identical scenario behaviour. Run on the hidden-terminal RTS
