@@ -368,7 +368,7 @@ void WirelessChannel::TransmitBatched(WifiPhy* sender, PpduRef ppdu,
   delivery->ppdu = std::move(ppdu);
   delivery->sent_at = now;
   delivery->duration = duration;
-  OrderByDelay(min_delay, max_delay, delivery->receivers);
+  delivery->receivers = OrderByDelay(min_delay, max_delay);
 
   // Walk the start runs (at now + delay) and the end runs (at now + delay +
   // duration) together in time order, one event per distinct nanosecond.
@@ -403,19 +403,19 @@ void WirelessChannel::TransmitBatched(WifiPhy* sender, PpduRef ppdu,
   }
 }
 
-// Stable counting sort of in_range_ (attach order) by delay into `out`, so
-// equal delays keep attach order. A spread too wide for the slot array
-// takes the equivalent stable comparison sort.
-void WirelessChannel::OrderByDelay(int64_t min_delay_ns, int64_t max_delay_ns,
-                                   std::vector<Receiver>& out) {
+// Stable counting sort of in_range_ (attach order) by delay, so equal
+// delays keep attach order. A spread too wide for the slot array takes the
+// equivalent stable comparison sort.
+std::vector<WirelessChannel::Receiver> WirelessChannel::OrderByDelay(
+    int64_t min_delay_ns, int64_t max_delay_ns) {
   int64_t span = max_delay_ns - min_delay_ns + 1;
   if (span > kMaxCountingSortSpanNs) {
-    out = in_range_;
+    std::vector<Receiver> out = in_range_;
     std::stable_sort(out.begin(), out.end(),
                      [](const Receiver& a, const Receiver& b) {
                        return a.delay_ns < b.delay_ns;
                      });
-    return;
+    return out;
   }
   // delay_slots_[d - min + 1] counts delay d; the prefix sum turns slot
   // d - min into the first output index for delay d.
@@ -425,10 +425,11 @@ void WirelessChannel::OrderByDelay(int64_t min_delay_ns, int64_t max_delay_ns,
   }
   std::partial_sum(delay_slots_.begin(), delay_slots_.end(),
                    delay_slots_.begin());
-  out.resize(in_range_.size());
+  std::vector<Receiver> out(in_range_.size());
   for (const Receiver& r : in_range_) {
     out[delay_slots_[r.delay_ns - min_delay_ns]++] = r;
   }
+  return out;
 }
 
 // One delivery event: the start edges [start_lo, start_hi) and the end

@@ -154,11 +154,11 @@ class WifiPhy {
   // two deep; a flat vector beats the former std::map on every touch.
   std::vector<std::pair<uint64_t, Arrival>> arrivals_;
   bool transmitting_ = false;
+  bool cca_busy_reported_ = false;
+  bool radio_on_ = true;
   // The ppdu_id of the transmission in progress (or of the last one). A
   // tx-end carrying any other id belongs to an aborted transmission.
   uint64_t tx_ppdu_id_ = 0;
-  bool cca_busy_reported_ = false;
-  bool radio_on_ = true;
   // End events owed for arrivals killed by a power-down (or ignored while
   // off); OnArrivalEnd swallows exactly this many unknown ids. Same scheme
   // for an aborted own transmission's tx-end event, recognised by its
@@ -257,8 +257,8 @@ class WirelessChannel {
                        SimTime duration);
   void TransmitPerPhy(WifiPhy* sender, PpduRef ppdu, SimTime now,
                       SimTime duration);
-  void OrderByDelay(int64_t min_delay_ns, int64_t max_delay_ns,
-                    std::vector<Receiver>& out);
+  std::vector<Receiver> OrderByDelay(int64_t min_delay_ns,
+                                     int64_t max_delay_ns);
 
   Scheduler* scheduler_;
   ChannelDeliveryMode mode_;
