@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "src/util/logging.h"
 
@@ -19,12 +18,6 @@ SimTime PropagationDelay(double distance_m) {
   auto prop_ns = static_cast<int64_t>(distance_m / kMetersPerNs);
   return SimTime::Nanos(std::max<int64_t>(prop_ns, 1));
 }
-
-// Widest delay spread (max - min, in ns) ordered by counting sort: 65.5 us,
-// i.e. ~19.6 km of path-length difference. A real cell spans a few hundred
-// ns; wider fixed-loss geometries fall back to a comparison sort rather than
-// size the slot array by their extent.
-constexpr int64_t kMaxCountingSortSpanNs = int64_t{1} << 16;
 }  // namespace
 
 double DistanceMeters(Position a, Position b) {
@@ -334,14 +327,12 @@ void WirelessChannel::TransmitPerPhy(WifiPhy* sender, PpduRef ppdu,
 //   3. Groups are scheduled now, in time order, between the airtime event
 //      and the sender's tx-end event, so same-nanosecond FIFO ordering
 //      against *other* PPDUs' events (and the sender's own) is unchanged.
-// The order itself costs O(n): one counting sort of the in-range receivers
-// by delay, written straight into the PPDU's shared Delivery record.
+// The order itself is one stable sort by delay of the in-range receivers,
+// collected in attach order; the PPDU's shared Delivery record keeps a copy.
 void WirelessChannel::TransmitBatched(WifiPhy* sender, PpduRef ppdu,
                                       SimTime now, SimTime duration) {
   bool ranged = propagation_->limits_range();
   in_range_.clear();
-  int64_t min_delay = INT64_MAX;
-  int64_t max_delay = 0;
   for (size_t idx = 0; idx < phys_.size(); ++idx) {
     WifiPhy* phy = phys_[idx];
     if (phy == sender) {
@@ -355,24 +346,27 @@ void WirelessChannel::TransmitBatched(WifiPhy* sender, PpduRef ppdu,
       ++airtime_.out_of_range;
       continue;
     }
-    int64_t delay = PropagationDelay(distance).ns();
-    min_delay = std::min(min_delay, delay);
-    max_delay = std::max(max_delay, delay);
-    in_range_.push_back(Receiver{phy, distance, rx_dbm, delay,
+    in_range_.push_back(Receiver{phy, distance, rx_dbm,
+                                 PropagationDelay(distance).ns(),
                                  static_cast<uint32_t>(idx)});
   }
   if (in_range_.empty()) {
     return;
   }
+  // Stable, so equal delays keep attach order.
+  std::stable_sort(in_range_.begin(), in_range_.end(),
+                   [](const Receiver& a, const Receiver& b) {
+                     return a.delay_ns < b.delay_ns;
+                   });
   auto delivery = std::make_shared<Delivery>();
+  delivery->receivers = in_range_;
+  const std::vector<Receiver>& rx = delivery->receivers;
   delivery->ppdu = std::move(ppdu);
   delivery->sent_at = now;
   delivery->duration = duration;
-  delivery->receivers = OrderByDelay(min_delay, max_delay);
 
   // Walk the start runs (at now + delay) and the end runs (at now + delay +
   // duration) together in time order, one event per distinct nanosecond.
-  const std::vector<Receiver>& rx = delivery->receivers;
   auto run_end = [&rx](uint32_t lo) {
     uint32_t hi = lo + 1;
     while (hi < rx.size() && rx[hi].delay_ns == rx[lo].delay_ns) {
@@ -401,35 +395,6 @@ void WirelessChannel::TransmitBatched(WifiPhy* sender, PpduRef ppdu,
         },
         EventClass::kChannel);
   }
-}
-
-// Stable counting sort of in_range_ (attach order) by delay, so equal
-// delays keep attach order. A spread too wide for the slot array takes the
-// equivalent stable comparison sort.
-std::vector<WirelessChannel::Receiver> WirelessChannel::OrderByDelay(
-    int64_t min_delay_ns, int64_t max_delay_ns) {
-  int64_t span = max_delay_ns - min_delay_ns + 1;
-  if (span > kMaxCountingSortSpanNs) {
-    std::vector<Receiver> out = in_range_;
-    std::stable_sort(out.begin(), out.end(),
-                     [](const Receiver& a, const Receiver& b) {
-                       return a.delay_ns < b.delay_ns;
-                     });
-    return out;
-  }
-  // delay_slots_[d - min + 1] counts delay d; the prefix sum turns slot
-  // d - min into the first output index for delay d.
-  delay_slots_.assign(static_cast<size_t>(span) + 1, 0);
-  for (const Receiver& r : in_range_) {
-    ++delay_slots_[r.delay_ns - min_delay_ns + 1];
-  }
-  std::partial_sum(delay_slots_.begin(), delay_slots_.end(),
-                   delay_slots_.begin());
-  std::vector<Receiver> out(in_range_.size());
-  for (const Receiver& r : in_range_) {
-    out[delay_slots_[r.delay_ns - min_delay_ns]++] = r;
-  }
-  return out;
 }
 
 // One delivery event: the start edges [start_lo, start_hi) and the end

@@ -24,7 +24,7 @@
 // kBatched, the default), so per-PPDU event count is bounded by the number
 // of distinct propagation delays — the cell's diameter in light-ns — rather
 // than by the attached-PHY count. The receivers are ordered once per PPDU by
-// (delay, attach index) with a counting sort, and every event of the PPDU
+// (delay, attach index) with one stable sort, and every event of the PPDU
 // covers a range of that one shared order. Arrival times, callback order,
 // and corruption semantics are bit-identical to the historical
 // one-event-per-PHY scheduling, which remains available (kPerPhyEvent) as
@@ -257,8 +257,6 @@ class WirelessChannel {
                        SimTime duration);
   void TransmitPerPhy(WifiPhy* sender, PpduRef ppdu, SimTime now,
                       SimTime duration);
-  std::vector<Receiver> OrderByDelay(int64_t min_delay_ns,
-                                     int64_t max_delay_ns);
 
   Scheduler* scheduler_;
   ChannelDeliveryMode mode_;
@@ -266,10 +264,8 @@ class WirelessChannel {
       std::make_unique<FixedLossPropagation>();
   std::vector<WifiPhy*> phys_;
   uint64_t next_ppdu_id_ = 1;
-  // Per-PPDU scratch reused across transmissions: the in-range receivers in
-  // attach order, and the counting sort's per-nanosecond slots.
+  // The in-range receivers of the PPDU being sent, reused across PPDUs.
   std::vector<Receiver> in_range_;
-  std::vector<uint32_t> delay_slots_;
   ChannelAirtime airtime_;
   int active_transmissions_ = 0;
   SimTime overlap_started_;

@@ -575,48 +575,42 @@ Position AtDelayNs(int64_t delay_ns) {
 // another's start edge share a nanosecond. Both modes must run them in
 // attach order, ends and starts interleaved: the batched channel folds them
 // into one event instead of splitting it by edge kind. A 24 us control frame
-// keeps the spread inside the counting sort; a ~170 us data frame pushes it
-// past the counting sort's span limit onto the comparison-sort fallback.
+// puts the far receivers about 7 km out.
 TEST(WifiPhyTest, SharedStartEndNanosecondRunsInAttachOrderInBothModes) {
   WifiFrame ack;
   ack.type = WifiFrameType::kAck;
   ack.ta = MacAddress::ForStation(0);
   ack.ra = MacAddress::ForStation(1);
-  Ppdu control;
-  control.aggregated = false;
-  control.mode = ModeForRate(Modes80211a(), 54);
-  control.mpdus.push_back(std::move(ack));
-  Ppdu data = MakeTestPpdu(MacAddress::ForStation(0),
-                           MacAddress::ForStation(1));
-  for (const Ppdu& ppdu : {control, data}) {
-    const int64_t near = 10;
-    const int64_t far = near + ppdu.Duration().ns();
-    // Attach order: sender, then near/far receivers alternating, so the
-    // shared nanosecond holds end, start, end, start.
-    const std::vector<Position> line = {{0, 0},          AtDelayNs(near),
-                                        AtDelayNs(far),  AtDelayNs(near),
-                                        AtDelayNs(far)};
-    auto run = [&](ChannelDeliveryMode mode) {
-      OrderCell cell(mode, line, /*geometric=*/false);
-      EXPECT_TRUE(cell.phys[0]->Send(ppdu));
-      cell.sched.Run();
-      return std::pair{cell.log, cell.sched.events_executed()};
-    };
-    auto [batched, batched_events] = run(ChannelDeliveryMode::kBatched);
-    auto [per_phy, per_phy_events] = run(ChannelDeliveryMode::kPerPhyEvent);
-    EXPECT_EQ(batched, per_phy) << "frame of " << ppdu.Duration().ns()
-                                << " ns";
-    const std::vector<Callback> shared_ns = {
-        {far, 1, 'I'}, {far, 1, 'R'}, {far, 2, 'B'},
-        {far, 3, 'I'}, {far, 3, 'R'}, {far, 4, 'B'}};
-    EXPECT_NE(std::search(batched.begin(), batched.end(), shared_ns.begin(),
-                          shared_ns.end()),
-              batched.end());
-    // Edge nanoseconds {near, far, far + airtime}, plus the airtime ledger
-    // and the sender's tx end.
-    EXPECT_EQ(batched_events, 5u);
-    EXPECT_EQ(per_phy_events, 2u + 2u * 4u);
-  }
+  Ppdu ppdu;
+  ppdu.aggregated = false;
+  ppdu.mode = ModeForRate(Modes80211a(), 54);
+  ppdu.mpdus.push_back(std::move(ack));
+  const int64_t near = 10;
+  const int64_t far = near + ppdu.Duration().ns();
+  // Attach order: sender, then near/far receivers alternating, so the
+  // shared nanosecond holds end, start, end, start.
+  const std::vector<Position> line = {{0, 0},         AtDelayNs(near),
+                                      AtDelayNs(far), AtDelayNs(near),
+                                      AtDelayNs(far)};
+  auto run = [&](ChannelDeliveryMode mode) {
+    OrderCell cell(mode, line, /*geometric=*/false);
+    EXPECT_TRUE(cell.phys[0]->Send(ppdu));
+    cell.sched.Run();
+    return std::pair{cell.log, cell.sched.events_executed()};
+  };
+  auto [batched, batched_events] = run(ChannelDeliveryMode::kBatched);
+  auto [per_phy, per_phy_events] = run(ChannelDeliveryMode::kPerPhyEvent);
+  EXPECT_EQ(batched, per_phy);
+  const std::vector<Callback> shared_ns = {
+      {far, 1, 'I'}, {far, 1, 'R'}, {far, 2, 'B'},
+      {far, 3, 'I'}, {far, 3, 'R'}, {far, 4, 'B'}};
+  EXPECT_NE(std::search(batched.begin(), batched.end(), shared_ns.begin(),
+                        shared_ns.end()),
+            batched.end());
+  // Edge nanoseconds {near, far, far + airtime}, plus the airtime ledger
+  // and the sender's tx end.
+  EXPECT_EQ(batched_events, 5u);
+  EXPECT_EQ(per_phy_events, 2u + 2u * 4u);
 }
 
 // A random cell: 64 radios at seeded positions (every fourth co-located
