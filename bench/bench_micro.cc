@@ -1,10 +1,19 @@
 // Microbenchmarks (google-benchmark) for the hot paths a NIC/driver would
 // care about: ROHC compression/decompression, MD5 CID derivation, the
-// discrete-event scheduler, and DCF grant machinery.
+// discrete-event scheduler, and the PHY/channel arrival path.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
+#include <memory>
+#include <vector>
+
 #include "src/net/address.h"
+#include "src/phy80211/frame.h"
+#include "src/phy80211/propagation.h"
+#include "src/phy80211/wifi_phy.h"
 #include "src/rohc/rohc.h"
+#include "src/sim/random.h"
 #include "src/sim/scheduler.h"
 #include "src/util/md5.h"
 
@@ -120,6 +129,108 @@ void BM_HeaderSerializeTcpAck(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HeaderSerializeTcpAck);
+
+// --- PHY / channel ------------------------------------------------------------
+
+class StubListener final : public WifiPhyListener {
+ public:
+  void OnPpduReceived(const Ppdu&, const std::vector<bool>&) override {}
+  void OnRxCorrupted() override {}
+  void OnTxEnd(const Ppdu&) override {}
+  void OnCcaBusy() override {}
+  void OnCcaIdle() override {}
+};
+
+// One 1460 B data MPDU at 802.11n 150 Mb/s (about 120 us of airtime).
+Ppdu DataPpdu() {
+  TcpHeader tcp;
+  tcp.flag_ack = true;
+  WifiFrame f;
+  f.type = WifiFrameType::kData;
+  f.ta = MacAddress::ForStation(1);
+  f.ra = MacAddress::ForStation(0);
+  f.packet = Packet::MakeTcp(Ipv4Address(1), Ipv4Address(2), tcp, 1460);
+  Ppdu ppdu;
+  ppdu.mode = ModeForRate(Modes80211n(), 150);
+  ppdu.mpdus.push_back(std::move(f));
+  return ppdu;
+}
+
+// Stub-listener radios at `positions` on one channel.
+struct StubCell {
+  StubCell(const std::vector<Position>& positions, bool log_distance)
+      : channel(&sched) {
+    for (size_t i = 0; i < positions.size(); ++i) {
+      phys.push_back(std::make_unique<WifiPhy>(&sched, Random(100 + i)));
+      phys.back()->set_position(positions[i]);
+      phys.back()->set_listener(&stub);
+      phys.back()->AttachTo(&channel);
+    }
+    if (log_distance) {
+      channel.set_propagation(std::make_unique<LogDistancePropagation>());
+    }
+  }
+  Scheduler sched;
+  WirelessChannel channel;
+  StubListener stub;
+  std::vector<std::unique_ptr<WifiPhy>> phys;
+};
+
+// Reports `per_iteration` units of work as a time per unit.
+benchmark::Counter TimePer(double per_iteration) {
+  return benchmark::Counter(per_iteration,
+                            benchmark::Counter::kIsIterationInvariantRate |
+                                benchmark::Counter::kInvert);
+}
+
+// k of 33 co-located radios send at the same instant on the fixed-loss
+// channel, so every receiver holds k frames in flight (k - 1 at a sender).
+// Each PPDU reaches the same 32 receivers in one start and one end event
+// at every k, so the channel and scheduler cost per arrival does not
+// depend on k; ns_per_arrival grows with k only through per-arrival PHY
+// work that scales with the depth.
+void BM_PhyOverlap(benchmark::State& state) {
+  const auto k = static_cast<size_t>(state.range(0));
+  constexpr size_t kRadios = 33;
+  StubCell cell(std::vector<Position>(kRadios, Position{1.0, 1.0}),
+                /*log_distance=*/false);
+  const Ppdu ppdu = DataPpdu();
+  for (auto _ : state) {
+    for (size_t s = 1; s <= k; ++s) {
+      benchmark::DoNotOptimize(cell.phys[s]->Send(ppdu));
+    }
+    cell.sched.Run();
+  }
+  state.counters["ns_per_arrival"] =
+      TimePer(static_cast<double>(k * (kRadios - 1)));
+}
+BENCHMARK(BM_PhyOverlap)->Arg(1)->Arg(8)->Arg(32);
+
+// One PPDU from the centre of a 20 m disk to n receivers placed uniformly
+// on it (all within energy-detect range on the log-distance channel), then
+// every delivery event: the channel's fan-out plus one clean decode per
+// receiver.
+void BM_ChannelFanout(benchmark::State& state) {
+  const auto n = static_cast<size_t>(state.range(0));
+  constexpr double kPi = 3.14159265358979;
+  Random rng(7);
+  std::vector<Position> disk = {{0.0, 0.0}};
+  for (size_t i = 0; i < n; ++i) {
+    double r = std::max(1.0, 20.0 * std::sqrt(rng.NextDouble()));
+    double theta = 2.0 * kPi * rng.NextDouble();
+    disk.push_back({r * std::cos(theta), r * std::sin(theta)});
+  }
+  StubCell cell(disk, /*log_distance=*/state.range(1) != 0);
+  const Ppdu ppdu = DataPpdu();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cell.phys[0]->Send(ppdu));
+    cell.sched.Run();
+  }
+  state.counters["ns_per_arrival"] = TimePer(static_cast<double>(n));
+}
+BENCHMARK(BM_ChannelFanout)
+    ->ArgsProduct({{10, 100, 1000}, {0, 1}})
+    ->ArgNames({"n", "log_distance"});
 
 }  // namespace
 }  // namespace hacksim

@@ -1,6 +1,6 @@
-// Channel loss models.
+// Channel loss models. The ideal channel is no model at all: a WifiPhy
+// starts without one (see WifiPhy::set_loss_model).
 //
-//  * NoLossModel        — ideal channel (theory validation runs).
 //  * BernoulliLossModel — i.i.d. per-MPDU corruption with fixed probability;
 //    used to emulate the SoRa testbed's per-client frame loss (paper §4.2).
 //  * SnrLossModel       — log-distance path loss -> SNR -> per-mode logistic
@@ -38,13 +38,6 @@ class LossModel {
   // is corrupted by channel noise.
   virtual bool ShouldCorrupt(const WifiMode& mode, size_t bytes,
                              double distance_m, Random& rng) = 0;
-};
-
-class NoLossModel final : public LossModel {
- public:
-  bool ShouldCorrupt(const WifiMode&, size_t, double, Random&) override {
-    return false;
-  }
 };
 
 class BernoulliLossModel final : public LossModel {

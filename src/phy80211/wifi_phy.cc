@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "src/util/logging.h"
 
@@ -27,9 +28,7 @@ double DistanceMeters(Position a, Position b) {
 }
 
 WifiPhy::WifiPhy(Scheduler* scheduler, Random rng)
-    : scheduler_(scheduler),
-      rng_(rng),
-      loss_model_(std::make_unique<NoLossModel>()) {}
+    : scheduler_(scheduler), rng_(rng) {}
 
 void WifiPhy::AttachTo(WirelessChannel* channel) {
   CHECK(channel_ == nullptr);
@@ -45,9 +44,7 @@ bool WifiPhy::Send(Ppdu ppdu) {
   }
   transmitting_ = true;
   // Half duplex: anything currently arriving is lost.
-  for (auto& [id, arrival] : arrivals_) {
-    arrival.corrupted = true;
-  }
+  ++corruptions_;
   UpdateCca();
   tx_ppdu_id_ = channel_->Transmit(this, std::move(ppdu));
   return true;
@@ -62,8 +59,9 @@ void WifiPhy::SetRadioOn(bool on) {
     // Power-down: every in-flight arrival dies with the radio. Their end
     // events are already scheduled; OnArrivalEnd swallows them through the
     // tolerance counter instead of a per-event Cancel.
-    dropped_arrival_ends_ += arrivals_.size();
+    dropped_arrival_ends_ += arrivals_.size() - head_;
     arrivals_.clear();
+    head_ = 0;
     if (transmitting_) {
       ++aborted_tx_ends_;
       transmitting_ = false;
@@ -88,7 +86,7 @@ void WifiPhy::OnOwnTxEnd(const Ppdu& ppdu) {
   }
 }
 
-void WifiPhy::OnArrivalStart(PpduRef ppdu, SimTime end, double distance_m,
+void WifiPhy::OnArrivalStart(const Ppdu& ppdu, double distance_m,
                              double rx_power_dbm) {
   if (!radio_on_) {
     // Dead receiver: ignore the frame, but remember that its already
@@ -96,57 +94,73 @@ void WifiPhy::OnArrivalStart(PpduRef ppdu, SimTime end, double distance_m,
     ++dropped_arrival_ends_;
     return;
   }
-  bool capture = channel_->propagation().limits_range();
-  uint64_t ppdu_id = ppdu->ppdu_id;
-  Arrival arrival{std::move(ppdu), end, distance_m,
+  bool capture = channel_->limits_range();
+  Arrival arrival{&ppdu, distance_m,
                   /*rx_power_mw=*/capture ? DbmToMw(rx_power_dbm) : 1.0,
                   /*interference_mw=*/0.0,
-                  /*corrupted=*/false};
-  if (transmitting_) {
-    arrival.corrupted = true;
-  }
-  if (!arrivals_.empty()) {
+                  /*corruptions_at_start=*/corruptions_,
+                  /*corrupted=*/transmitting_};
+  if (head_ < arrivals_.size()) {
     if (capture) {
       // SINR capture: overlap is not an automatic death sentence. Every
       // arrival accumulates the other's power as interference (energy is
       // there whether or not the other frame itself survives); the verdict
       // lands at each arrival's end.
-      for (auto& [id, other] : arrivals_) {
+      for (size_t i = head_; i < arrivals_.size(); ++i) {
+        Arrival& other = arrivals_[i];
         other.interference_mw += arrival.rx_power_mw;
         arrival.interference_mw += other.rx_power_mw;
       }
     } else {
       // Legacy fixed-loss rule: overlap corrupts both, no capture.
       arrival.corrupted = true;
-      for (auto& [id, other] : arrivals_) {
-        other.corrupted = true;
-      }
+      ++corruptions_;
     }
   }
-  arrivals_.emplace_back(ppdu_id, std::move(arrival));
+  if (head_ > 0 && arrivals_.size() == arrivals_.capacity() &&
+      2 * head_ >= arrivals_.size()) {
+    // Reuse the dead front half instead of growing. Moving the live half
+    // is paid for by the removals that killed the front half.
+    arrivals_.erase(arrivals_.begin(),
+                    arrivals_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  arrivals_.push_back(arrival);
   UpdateCca();
 }
 
-void WifiPhy::OnArrivalEnd(uint64_t ppdu_id) {
-  auto it = std::find_if(arrivals_.begin(), arrivals_.end(),
-                         [ppdu_id](const auto& entry) {
-                           return entry.first == ppdu_id;
-                         });
-  if (it == arrivals_.end()) {
+void WifiPhy::OnArrivalEnd(const Ppdu& ppdu) {
+  size_t at = head_;
+  while (at < arrivals_.size() && arrivals_[at].ppdu != &ppdu) {
+    ++at;
+  }
+  if (at == arrivals_.size()) {
     // An arrival cleared by a radio power-down, or one that began while
     // the radio was off: its end edge is expected exactly once.
     CHECK_GT(dropped_arrival_ends_, 0u)
-        << "arrival end for an id the PHY never saw";
+        << "arrival end for a PPDU the PHY never saw";
     --dropped_arrival_ends_;
     return;
   }
-  Arrival arrival = std::move(it->second);
-  arrivals_.erase(it);
+  Arrival arrival = arrivals_[at];
+  // Judged before any callback: a listener reacting to the CCA edge below
+  // must not reach back into this arrival's verdict.
+  bool corrupted = arrival.corrupted ||
+                   arrival.corruptions_at_start != corruptions_;
+  if (at == head_) {
+    ++head_;
+  } else {
+    arrivals_.erase(arrivals_.begin() + static_cast<std::ptrdiff_t>(at));
+  }
+  if (head_ == arrivals_.size()) {
+    arrivals_.clear();
+    head_ = 0;
+  }
   UpdateCca();
   if (listener_ == nullptr) {
     return;
   }
-  if (arrival.corrupted) {
+  if (corrupted) {
     listener_->OnRxCorrupted();
     return;
   }
@@ -154,12 +168,12 @@ void WifiPhy::OnArrivalEnd(uint64_t ppdu_id) {
   // energy that overlapped it iff its SINR clears the mode's capture
   // threshold. On the fixed-loss channel an overlapped arrival is already
   // corrupted above, so this block is never reached with interference.
-  const PropagationModel& prop = channel_->propagation();
-  if (prop.limits_range() && arrival.interference_mw > 0.0) {
+  if (arrival.interference_mw > 0.0) {
+    const PropagationModel& prop = channel_->propagation();
     double sinr_db =
         MwToDbm(arrival.rx_power_mw) -
         MwToDbm(prop.noise_floor_mw() + arrival.interference_mw);
-    if (sinr_db < prop.CaptureSinrDb(arrival.ppdu->mode)) {
+    if (sinr_db < prop.CaptureSinrDb(ppdu.mode)) {
       ++stats_.overlap_losses;
       listener_->OnRxCorrupted();
       return;
@@ -167,16 +181,20 @@ void WifiPhy::OnArrivalEnd(uint64_t ppdu_id) {
     ++stats_.captures;
   }
   // Channel-noise loss per MPDU. For A-MPDUs each subframe has its own FCS
-  // and fails independently; for single MPDUs there is just one draw.
-  const Ppdu& ppdu = *arrival.ppdu;
-  std::vector<bool> mpdu_ok(ppdu.mpdus.size());
-  bool any_ok = false;
-  for (size_t i = 0; i < ppdu.mpdus.size(); ++i) {
-    size_t bytes = ppdu.mpdus[i].SizeBytes();
-    bool corrupt = loss_model_->ShouldCorrupt(ppdu.mode, bytes,
-                                              arrival.distance_m, rng_);
-    mpdu_ok[i] = !corrupt;
-    any_ok = any_ok || !corrupt;
+  // and fails independently; for single MPDUs there is just one draw. With
+  // no loss model the channel is ideal and every MPDU survives.
+  std::vector<bool>& mpdu_ok = channel_->mpdu_ok_scratch();
+  mpdu_ok.assign(ppdu.mpdus.size(), true);
+  bool any_ok = !ppdu.mpdus.empty();
+  if (loss_model_ != nullptr) {
+    any_ok = false;
+    for (size_t i = 0; i < ppdu.mpdus.size(); ++i) {
+      size_t bytes = ppdu.mpdus[i].SizeBytes();
+      bool corrupt = loss_model_->ShouldCorrupt(ppdu.mode, bytes,
+                                                arrival.distance_m, rng_);
+      mpdu_ok[i] = !corrupt;
+      any_ok = any_ok || !corrupt;
+    }
   }
   if (!any_ok) {
     listener_->OnRxCorrupted();
@@ -204,7 +222,7 @@ void WifiPhy::UpdateCca() {
 void WirelessChannel::Attach(WifiPhy* phy) {
   CHECK(std::find(phys_.begin(), phys_.end(), phy) == phys_.end())
       << "PHY attached twice: every PPDU would be delivered to it twice";
-  CHECK(!propagation_->limits_range() || phy->has_position())
+  CHECK(!limits_range_ || phy->has_position())
       << "range-limited propagation needs an explicit position on every "
          "PHY: an unpositioned node would silently co-locate with the "
          "origin (set_position before Attach, or keep the fixed-loss model)";
@@ -221,6 +239,7 @@ void WirelessChannel::set_propagation(std::unique_ptr<PropagationModel> model) {
              "with the origin";
     }
   }
+  limits_range_ = model->limits_range();
   propagation_ = std::move(model);
 }
 
@@ -285,14 +304,13 @@ uint64_t WirelessChannel::Transmit(WifiPhy* sender, Ppdu ppdu) {
 // order. The batched path below must stay observably identical to this.
 void WirelessChannel::TransmitPerPhy(WifiPhy* sender, PpduRef ppdu,
                                      SimTime now, SimTime duration) {
-  bool ranged = propagation_->limits_range();
   for (WifiPhy* phy : phys_) {
     if (phy == sender) {
       continue;
     }
     double distance = DistanceMeters(sender->position(), phy->position());
-    double rx_dbm = ranged ? propagation_->RxPowerDbm(distance) : 0.0;
-    if (ranged && !propagation_->Detectable(rx_dbm)) {
+    double rx_dbm = limits_range_ ? propagation_->RxPowerDbm(distance) : 0.0;
+    if (limits_range_ && !propagation_->Detectable(rx_dbm)) {
       // Below the energy-detection threshold: the receiver sees nothing at
       // all — no decode, no CCA energy. This is the hidden-terminal
       // condition, and it also means no scheduler events for the pair.
@@ -302,13 +320,14 @@ void WirelessChannel::TransmitPerPhy(WifiPhy* sender, PpduRef ppdu,
     SimTime prop = PropagationDelay(distance);
     scheduler_->ScheduleAt(
         now + prop,
-        [phy, ppdu, end = now + prop + duration, distance, rx_dbm]() {
-          phy->OnArrivalStart(ppdu, end, distance, rx_dbm);
+        [phy, ppdu, distance, rx_dbm]() {
+          phy->OnArrivalStart(*ppdu, distance, rx_dbm);
         },
         EventClass::kChannel);
+    // The end edge owns the payload too: the receiver borrows it until
+    // then, and every other reference may be gone by this edge.
     scheduler_->ScheduleAt(
-        now + prop + duration,
-        [phy, ppdu_id = ppdu->ppdu_id]() { phy->OnArrivalEnd(ppdu_id); },
+        now + prop + duration, [phy, ppdu]() { phy->OnArrivalEnd(*ppdu); },
         EventClass::kChannel);
   }
 }
@@ -331,7 +350,6 @@ void WirelessChannel::TransmitPerPhy(WifiPhy* sender, PpduRef ppdu,
 // collected in attach order; the PPDU's shared Delivery record keeps a copy.
 void WirelessChannel::TransmitBatched(WifiPhy* sender, PpduRef ppdu,
                                       SimTime now, SimTime duration) {
-  bool ranged = propagation_->limits_range();
   in_range_.clear();
   for (size_t idx = 0; idx < phys_.size(); ++idx) {
     WifiPhy* phy = phys_[idx];
@@ -339,8 +357,8 @@ void WirelessChannel::TransmitBatched(WifiPhy* sender, PpduRef ppdu,
       continue;
     }
     double distance = DistanceMeters(sender->position(), phy->position());
-    double rx_dbm = ranged ? propagation_->RxPowerDbm(distance) : 0.0;
-    if (ranged && !propagation_->Detectable(rx_dbm)) {
+    double rx_dbm = limits_range_ ? propagation_->RxPowerDbm(distance) : 0.0;
+    if (limits_range_ && !propagation_->Detectable(rx_dbm)) {
       // Same pruning rule as TransmitPerPhy (the equivalence tests cover
       // the ranged paths too): the receiver sees nothing.
       ++airtime_.out_of_range;
@@ -362,8 +380,6 @@ void WirelessChannel::TransmitBatched(WifiPhy* sender, PpduRef ppdu,
   delivery->receivers = in_range_;
   const std::vector<Receiver>& rx = delivery->receivers;
   delivery->ppdu = std::move(ppdu);
-  delivery->sent_at = now;
-  delivery->duration = duration;
 
   // Walk the start runs (at now + delay) and the end runs (at now + delay +
   // duration) together in time order, one event per distinct nanosecond.
@@ -407,11 +423,9 @@ void WirelessChannel::Delivery::Fire(uint32_t start_lo, uint32_t start_hi,
         (start_lo < start_hi &&
          receivers[start_lo].attach_idx < receivers[end_lo].attach_idx)) {
       const Receiver& r = receivers[start_lo++];
-      r.phy->OnArrivalStart(ppdu,
-                            sent_at + SimTime::Nanos(r.delay_ns) + duration,
-                            r.distance_m, r.rx_power_dbm);
+      r.phy->OnArrivalStart(*ppdu, r.distance_m, r.rx_power_dbm);
     } else {
-      receivers[end_lo++].phy->OnArrivalEnd(ppdu->ppdu_id);
+      receivers[end_lo++].phy->OnArrivalEnd(*ppdu);
     }
   }
 }

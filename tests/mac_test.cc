@@ -290,7 +290,7 @@ TEST(MacTest, SyncBitSetAfterBarGiveUp) {
   EXPECT_GT(pair.mac_a->stats().bars_sent, 0u);
   EXPECT_GT(pair.mac_a->stats().ba_agreement_give_ups, 0u);
   // Heal and send another packet: SYNC must be set on it.
-  pair.phy_b->set_loss_model(std::make_unique<NoLossModel>());
+  pair.phy_b->set_loss_model(nullptr);
   pair.mac_a->Enqueue(MakeUdpPacket(1460), MacAddress::ForStation(1));
   pair.sched.RunUntil(SimTime::Millis(400));
   ASSERT_FALSE(hooks.ppdus.empty());
@@ -616,7 +616,7 @@ TEST(MacRtsTest, CtsTimeoutReentersBackoffThenBypassesAfterLimit) {
 
   // Heal the channel: a fresh packet must deliver through a fully
   // protected exchange again (the bypass was one-shot).
-  pair.phy_b->set_loss_model(std::make_unique<NoLossModel>());
+  pair.phy_b->set_loss_model(nullptr);
   pair.mac_a->Enqueue(MakeUdpPacket(777), MacAddress::ForStation(1));
   pair.sched.RunUntil(SimTime::Millis(500));
   ASSERT_GE(pair.received_at_b.size(), 1u);
