@@ -95,11 +95,9 @@ void WifiPhy::OnArrivalStart(const Ppdu& ppdu, double distance_m,
     return;
   }
   bool capture = channel_->limits_range();
-  Arrival arrival{&ppdu, distance_m,
-                  /*rx_power_mw=*/capture ? DbmToMw(rx_power_dbm) : 1.0,
-                  /*interference_mw=*/0.0,
-                  /*corruptions_at_start=*/corruptions_,
-                  /*corrupted=*/transmitting_};
+  double rx_power_mw = capture ? DbmToMw(rx_power_dbm) : 1.0;
+  double interference_mw = 0.0;
+  bool corrupted = transmitting_;
   if (head_ < arrivals_.size()) {
     if (capture) {
       // SINR capture: overlap is not an automatic death sentence. Every
@@ -108,12 +106,12 @@ void WifiPhy::OnArrivalStart(const Ppdu& ppdu, double distance_m,
       // lands at each arrival's end.
       for (size_t i = head_; i < arrivals_.size(); ++i) {
         Arrival& other = arrivals_[i];
-        other.interference_mw += arrival.rx_power_mw;
-        arrival.interference_mw += other.rx_power_mw;
+        other.interference_mw += rx_power_mw;
+        interference_mw += other.rx_power_mw;
       }
     } else {
       // Legacy fixed-loss rule: overlap corrupts both, no capture.
-      arrival.corrupted = true;
+      corrupted = true;
       ++corruptions_;
     }
   }
@@ -125,7 +123,8 @@ void WifiPhy::OnArrivalStart(const Ppdu& ppdu, double distance_m,
                     arrivals_.begin() + static_cast<std::ptrdiff_t>(head_));
     head_ = 0;
   }
-  arrivals_.push_back(arrival);
+  arrivals_.emplace_back(&ppdu, distance_m, rx_power_mw, interference_mw,
+                         corruptions_, corrupted);
   UpdateCca();
 }
 

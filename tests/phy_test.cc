@@ -704,9 +704,7 @@ TEST(WifiPhyTest, DeepOverlapOnFixedLossChannel) {
       {0, 1, 1400},   {10, 2, 100},  {20, 3, 1000}, {30, 4, 500},
       {300, 2, 100},  {400, 1, 1000}, {450, 0, 100}, {700, 2, 100},
       {800, 1, 1000}, {810, 2, 1000}, {860, 3, 100}, {1100, 4, 100}};
-  std::vector<Callback> logs[2];
-  for (ChannelDeliveryMode mode :
-       {ChannelDeliveryMode::kBatched, ChannelDeliveryMode::kPerPhyEvent}) {
+  auto run = [&](ChannelDeliveryMode mode) {
     OrderCell c(mode, cell, /*geometric=*/false);
     Schedule(c, script);
     c.sched.ScheduleAt(SimTime::Micros(850), [&c]() {
@@ -721,9 +719,10 @@ TEST(WifiPhyTest, DeepOverlapOnFixedLossChannel) {
     EXPECT_EQ(Verdicts(c.log, 0), "XXXXRXR") << "send while receiving";
     c.sched.Run();
     EXPECT_EQ(Verdicts(c.log, 0), "XXXXRXRRR") << "power cycle mid-overlap";
-    logs[mode == ChannelDeliveryMode::kBatched ? 0 : 1] = c.log;
-  }
-  EXPECT_EQ(logs[0], logs[1]);
+    return c.log;
+  };
+  EXPECT_EQ(run(ChannelDeliveryMode::kBatched),
+            run(ChannelDeliveryMode::kPerPhyEvent));
 }
 
 // Log-distance channel, verdicts at radio 0. Frames from A (radio 1,
@@ -757,9 +756,7 @@ TEST(WifiPhyTest, DeepOverlapCaptureOnLogDistanceChannel) {
   EXPECT_LT(sinr_db(2, {1, 3}), threshold);
   EXPECT_LT(sinr_db(3, {1, 2, 4}), threshold);
 
-  std::vector<Callback> logs[2];
-  for (ChannelDeliveryMode mode :
-       {ChannelDeliveryMode::kBatched, ChannelDeliveryMode::kPerPhyEvent}) {
+  auto run = [&](ChannelDeliveryMode mode) {
     OrderCell c(mode, cell, /*geometric=*/true);
     Schedule(c, script);
     c.sched.Run();
@@ -767,9 +764,10 @@ TEST(WifiPhyTest, DeepOverlapCaptureOnLogDistanceChannel) {
     EXPECT_EQ(Verdicts(c.log, 0), "XRXX");
     EXPECT_EQ(c.phys[0]->stats().captures, 1u);
     EXPECT_EQ(c.phys[0]->stats().overlap_losses, 3u);
-    logs[mode == ChannelDeliveryMode::kBatched ? 0 : 1] = c.log;
-  }
-  EXPECT_EQ(logs[0], logs[1]);
+    return c.log;
+  };
+  EXPECT_EQ(run(ChannelDeliveryMode::kBatched),
+            run(ChannelDeliveryMode::kPerPhyEvent));
 }
 
 TEST(WifiPhyTest, AirtimeLedgerCountsCollisionOverlap) {
