@@ -130,7 +130,7 @@ void BM_HeaderSerializeTcpAck(benchmark::State& state) {
 }
 BENCHMARK(BM_HeaderSerializeTcpAck);
 
-// --- PHY / channel ------------------------------------------------------------
+// --- PHY / channel -----------------------------------------------------------
 
 class StubListener final : public WifiPhyListener {
  public:

@@ -190,7 +190,7 @@ class WifiPhy {
   // tx-end carrying any other id belongs to an aborted transmission.
   uint64_t tx_ppdu_id_ = 0;
   // End events owed for arrivals killed by a power-down (or ignored while
-  // off); OnArrivalEnd swallows exactly this many unknown ids. Same scheme
+  // off); OnArrivalEnd swallows exactly this many unmatched ends. Same scheme
   // for an aborted own transmission's tx-end event, recognised by its
   // ppdu_id even when a newer transmission is already on air. Correctness
   // relies on events firing in time order: every swallowed end edge belongs

@@ -657,7 +657,7 @@ TEST(WifiPhyTest, RandomCellCallbackOrderMatchesPerPhyDelivery) {
   }
 }
 
-// --- deep overlap: several frames in flight at one receiver -------------------
+// --- deep overlap: several frames in flight at one receiver ------------------
 
 // One scripted transmission: at `at_us`, radio `sender` sends a frame of
 // `payload` bytes (see MakeTestPpdu for the airtimes).
