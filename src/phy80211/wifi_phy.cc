@@ -182,7 +182,7 @@ void WifiPhy::OnArrivalEnd(const Ppdu& ppdu) {
   // Channel-noise loss per MPDU. For A-MPDUs each subframe has its own FCS
   // and fails independently; for single MPDUs there is just one draw. With
   // no loss model the channel is ideal and every MPDU survives.
-  std::vector<bool>& mpdu_ok = channel_->mpdu_ok_scratch();
+  std::vector<bool>& mpdu_ok = channel_->mpdu_verdicts();
   mpdu_ok.assign(ppdu.mpdus.size(), true);
   bool any_ok = !ppdu.mpdus.empty();
   if (loss_model_ != nullptr) {

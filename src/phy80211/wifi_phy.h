@@ -267,7 +267,7 @@ class WirelessChannel {
   // allocates); it is valid only during that receiver's OnPpduReceived,
   // which no other arrival end can interrupt: end edges run only from
   // scheduler events.
-  std::vector<bool>& mpdu_ok_scratch() { return mpdu_ok_scratch_; }
+  std::vector<bool>& mpdu_verdicts() { return mpdu_verdicts_; }
 
  private:
   // One in-range receiver of a batched delivery.
@@ -307,7 +307,7 @@ class WirelessChannel {
   uint64_t next_ppdu_id_ = 1;
   // The in-range receivers of the PPDU being sent, reused across PPDUs.
   std::vector<Receiver> in_range_;
-  std::vector<bool> mpdu_ok_scratch_;
+  std::vector<bool> mpdu_verdicts_;
   ChannelAirtime airtime_;
   int active_transmissions_ = 0;
   SimTime overlap_started_;
