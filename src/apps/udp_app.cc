@@ -116,16 +116,7 @@ void UdpSink::OnPacket(const Packet& packet) {
   bytes_received_ += packet.payload_bytes();
   tracker_.OnBytesDelivered(scheduler_->Now(), packet.payload_bytes());
   if (latency_ != nullptr) {
-    SimTime delay = scheduler_->Now() - packet.created_at();
-    uint8_t ac = packet.has_ip() ? AcForTos(packet.ip().tos) : kAcBe;
-    latency_->Record(ac, delay);
-    if (has_last_delay_) {
-      SimTime delta = delay >= last_delay_ ? delay - last_delay_
-                                           : last_delay_ - delay;
-      latency_->RecordJitter(ac, delta);
-    }
-    last_delay_ = delay;
-    has_last_delay_ = true;
+    latency_->RecordDelivery(packet, scheduler_->Now(), delay_chain_);
   }
 }
 

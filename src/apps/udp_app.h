@@ -89,8 +89,7 @@ class UdpSink {
   uint64_t bytes_received_ = 0;
   GoodputTracker tracker_;
   LatencyRecorder* latency_ = nullptr;
-  SimTime last_delay_;
-  bool has_last_delay_ = false;
+  DelayChain delay_chain_;
 };
 
 }  // namespace hacksim

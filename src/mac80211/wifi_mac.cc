@@ -12,6 +12,9 @@ namespace {
 // before the MAC gives up on it.
 constexpr int kMpduRetryLimit = 7;
 constexpr int kBarRetryLimit = 7;
+// Consecutive CTS timeouts for one destination after which a single
+// exchange is sent unprotected (forward progress past a CTS-deaf peer).
+constexpr int kRtsRetryLimit = 7;
 
 // EIFS adds the time to hear the lowest-rate ACK after a failed reception.
 SimTime EifsExtra(const PhyTimings& timings) {
@@ -22,7 +25,7 @@ SimTime EifsExtra(const PhyTimings& timings) {
 bool IsResponseFrame(const Ppdu& ppdu) {
   WifiFrameType t = ppdu.first().type;
   return t == WifiFrameType::kAck || t == WifiFrameType::kBlockAck ||
-         t == WifiFrameType::kCts || t == WifiFrameType::kCfEnd;
+         t == WifiFrameType::kCts;
 }
 
 // IP-datagram airtime of the MPDUs at the PPDU's rate (no preamble, no MAC
@@ -745,8 +748,6 @@ void WifiMac::OnTxEnd(const Ppdu& ppdu) {
   tx_end_time_ = scheduler_->Now();
   if (ppdu.first().type == WifiFrameType::kRts) {
     phase_ = TxPhase::kAwaitingCts;
-    rts_reservation_until_ =
-        scheduler_->Now() + ppdu.first().duration_field;
     cts_timeout_event_ = scheduler_->ScheduleIn(
         CtsTimeoutDelay(),
         [this]() {
@@ -796,11 +797,6 @@ void WifiMac::HandleCtsTimeout() {
   CHECK(phase_ == TxPhase::kAwaitingCts);
   ++stats_.cts_timeouts;
   pending_data_ppdu_.reset();
-  // The reservation we advertised is dead air from here to its horizon.
-  // Overhearers' NAV-reset probes only reclaim it if their probe window
-  // passed in silence — any unrelated PHY activity makes a probe stand
-  // down — so, when enabled, broadcast a CF-End to release everyone now.
-  MaybeSendCfEnd();
   if (current_dest_gone_) {
     // Peer removed mid-exchange: its TxState was already reset (and may
     // belong to a new peer) — abandon without touching it.
@@ -826,40 +822,13 @@ void WifiMac::HandleCtsTimeout() {
     rate_ctrl_->AbandonPick(current_dest_sid_);
   }
   TxState& st = tx_[current_dest_sid_];
-  if (++st.rts_retries > config_.rts_retry_limit) {
+  if (++st.rts_retries > kRtsRetryLimit) {
     st.rts_retries = 0;
     st.rts_bypass_once = true;
   }
   UpdateServiceRing(st);
   phase_ = TxPhase::kIdle;
   MaybeRequestAccess();
-}
-
-void WifiMac::MaybeSendCfEnd() {
-  if (!config_.enable_cf_end) {
-    return;
-  }
-  WifiMode cf_mode = ControlResponseMode(current_data_mode_);
-  SimTime air = FrameDuration(cf_mode, kCfEndBytes);
-  if (scheduler_->Now() + air >= rts_reservation_until_) {
-    return;  // the reservation runs out before the truncation could land
-  }
-  WifiFrame cf;
-  cf.type = WifiFrameType::kCfEnd;
-  cf.ta = address_;
-  cf.ra = MacAddress::Broadcast();
-  // duration_field stays zero: a CF-End reserves nothing, it only releases.
-  Ppdu ppdu;
-  ppdu.aggregated = false;
-  ppdu.mode = cf_mode;
-  ppdu.mpdus.push_back(std::move(cf));
-  if (phy_->Send(std::move(ppdu))) {
-    ++stats_.cf_ends_sent;
-  } else {
-    // Half-duplex PHY mid-arrival at the exact timeout instant: rare, and
-    // the per-overhearer probes remain the backstop.
-    ++stats_.tx_dropped_phy_busy;
-  }
 }
 
 void WifiMac::NotifyRateOutcome(StationId sid, bool success) {
@@ -1061,18 +1030,6 @@ void WifiMac::OnPpduReceived(const Ppdu& ppdu,
   CHECK_LT(first_ok, mpdu_ok.size());
   const WifiFrame& first = ppdu.mpdus[first_ok];
 
-  if (first.type == WifiFrameType::kCfEnd) {
-    // NAV truncation: the reservation holder announces the exchange is
-    // over. Broadcast-addressed, so it is handled before the ra check.
-    nav_provisional_ = false;
-    if (scheduler_->Now() < nav_until_) {
-      ++stats_.cf_end_truncations;
-      nav_until_ = scheduler_->Now();
-      RedateIdleStart(scheduler_->Now());
-    }
-    return;
-  }
-
   if (first.ra != address_) {
     // Not for us: honour the NAV reservation.
     if (!first.duration_field.IsZero()) {
@@ -1120,8 +1077,6 @@ void WifiMac::OnPpduReceived(const Ppdu& ppdu,
     case WifiFrameType::kCts:
       HandleCts(first);
       break;
-    case WifiFrameType::kCfEnd:
-      break;  // handled above (broadcast ra never reaches this switch)
   }
 }
 

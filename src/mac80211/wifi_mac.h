@@ -83,9 +83,6 @@ struct WifiMacConfig {
   // overhearing stations reserve (NAV) the whole exchange. 0 disables —
   // the default, and the legacy scenarios' bit-identical path.
   size_t rts_threshold = 0;
-  // Consecutive CTS timeouts for one destination after which a single
-  // exchange is sent unprotected (forward progress past a CTS-deaf peer).
-  int rts_retry_limit = 7;
   // NAV-reset probe implementation. false (default) = coalesced: the probe
   // is one provisional deadline per overheard RTS reservation, consulted
   // lazily from dated CCA edges — zero scheduled events per overhearer.
@@ -93,12 +90,6 @@ struct WifiMacConfig {
   // pick-for-pick reference the coalesced path is tested against
   // (docs/mac.md).
   bool legacy_nav_probe_events = false;
-  // CF-End truncation: after a CTS timeout the RTS originator broadcasts a
-  // CF-End frame releasing the remainder of its dead reservation at every
-  // overhearer — reclaiming reservations the per-station probes would miss
-  // (any PHY activity in the probe window makes a probe stand down). Off by
-  // default: the legacy bit-identical path sends nothing.
-  bool enable_cf_end = false;
   // Per-station ARF rate adaptation over the standard's mode table;
   // data_mode becomes the starting rate. Off by default: every data PPDU
   // then goes out at data_mode exactly as before.
@@ -396,9 +387,6 @@ class WifiMac final : public WifiPhyListener {
   // same decision the armed probe event makes in legacy mode.
   void ResolveNavProbe();
   void FinishNavProbe();
-  // Broadcasts a CF-End truncation after a CTS timeout if enabled and the
-  // dead reservation still has enough air left to be worth reclaiming.
-  void MaybeSendCfEnd();
 
   Scheduler* scheduler_;
   WifiPhy* phy_;
@@ -482,9 +470,6 @@ class WifiMac final : public WifiPhyListener {
   bool nav_provisional_ = false;
   SimTime nav_probe_deadline_;
   SimTime nav_probe_value_;  // the nav_until_ the probe would reclaim
-  // End of the reservation advertised by the last RTS this MAC sent; a
-  // CF-End truncation is only worth the air while it is still future.
-  SimTime rts_reservation_until_;
   bool medium_busy_reported_ = false;
   // Idle start last announced to the DCF engine (Now() or a future
   // nav_until_). NAV expiry is never a scheduled event: the engine arms its

@@ -1,13 +1,12 @@
 // 802.11 MAC frame and PPDU models with byte-exact sizes.
 //
-// Sizes (all + FCS 4 where noted):
+// Sizes, each including the 4 B FCS:
 //   QoS Data MPDU : 26 B header + 8 B LLC/SNAP + IP datagram + 4 B FCS
 //   ACK           : 14 B (+ appended HACK payload)
 //   Block ACK     : 32 B compressed-bitmap variant (+ appended HACK payload)
 //   Block ACK Req : 24 B
 //   RTS           : 20 B
 //   CTS           : 14 B
-//   CF-End        : 20 B
 // A-MPDU subframes add a 4 B delimiter and pad the MPDU to a 4 B boundary;
 // with 1460 B TCP payloads this yields 1556 B per subframe and the paper's
 // 42-MPDU maximum under the 64 KB A-MPDU bound.
@@ -36,11 +35,6 @@ enum class WifiFrameType {
   kBlockAckReq,
   kRts,
   kCts,
-  // Contention-free-end style NAV truncation: broadcast by the RTS
-  // originator when its reserved exchange dies early (CTS timeout), so
-  // every overhearer releases the remainder of the reservation at once
-  // instead of probing for dead air.
-  kCfEnd,
 };
 
 // Compressed-bitmap Block ACK content: 64 sequence numbers starting at
@@ -88,7 +82,6 @@ inline constexpr size_t kBlockAckBytes = 32;
 inline constexpr size_t kBlockAckReqBytes = 24;
 inline constexpr size_t kRtsBytes = 20;
 inline constexpr size_t kCtsBytes = 14;
-inline constexpr size_t kCfEndBytes = 20;
 inline constexpr size_t kAmpduDelimiterBytes = 4;
 inline constexpr size_t kMaxAmpduBytes = 65535;
 inline constexpr size_t kMaxAmpduMpdus = 64;

@@ -263,7 +263,6 @@ uint64_t WirelessChannel::Transmit(WifiPhy* sender, Ppdu ppdu) {
       break;
     case WifiFrameType::kRts:
     case WifiFrameType::kCts:
-    case WifiFrameType::kCfEnd:
       airtime_.rts_cts_ns += duration.ns();
       break;
   }

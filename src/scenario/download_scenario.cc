@@ -40,10 +40,8 @@ struct ClientEndpoint {
   bool started = false;
   GoodputTracker tracker;
   SimTime completion;
-  // Jitter chain for the TCP data path (mirrors UdpSink's: consecutive
-  // same-endpoint delay deltas).
-  SimTime tcp_last_delay;
-  bool tcp_has_delay = false;
+  // Jitter chain for the TCP data path (UdpSink keeps its own).
+  DelayChain tcp_delay_chain;
 };
 
 std::span<const WifiMode> ModeTable(WifiStandard standard) {
@@ -171,29 +169,11 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
   }
 
   std::vector<ClientEndpoint> clients(config.n_clients);
-  // Enqueue→delivery latency over every UDP sink, keyed by each packet's
-  // DSCP-derived AC. Pure recording (no events, no RNG), so wiring it
-  // unconditionally cannot perturb legacy runs.
+  // Enqueue→delivery latency over every UDP sink and TCP receiving
+  // handler, keyed by each packet's DSCP-derived AC. Pure recording (no
+  // events, no RNG), so wiring it unconditionally cannot perturb legacy
+  // runs.
   LatencyRecorder latency;
-  // TCP data segments get the same treatment at the receiving handler
-  // (UdpSink's convention: per-packet delay keyed by the DSCP-derived AC,
-  // jitter from consecutive same-endpoint deltas). Recording-only as well.
-  auto record_tcp_latency = [&scheduler, &latency](ClientEndpoint& ep,
-                                                   const Packet& p) {
-    if (p.payload_bytes() == 0) {
-      return;
-    }
-    uint8_t ac = p.has_ip() ? AcForTos(p.ip().tos) : kAcBe;
-    SimTime delay = scheduler.Now() - p.created_at();
-    latency.Record(ac, delay);
-    if (ep.tcp_has_delay) {
-      SimTime delta = delay > ep.tcp_last_delay ? delay - ep.tcp_last_delay
-                                                : ep.tcp_last_delay - delay;
-      latency.RecordJitter(ac, delta);
-    }
-    ep.tcp_last_delay = delay;
-    ep.tcp_has_delay = true;
-  };
 
   // Only the disk layout draws placement randomness; forking lazily keeps
   // every legacy configuration's RNG streams untouched.
@@ -377,10 +357,14 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
       ep.tcp_rx->on_data = [&ep, &scheduler](uint64_t bytes) {
         ep.tracker.OnBytesDelivered(scheduler.Now(), bytes);
       };
+      // TCP data segments are recorded at the receiving handler, like
+      // UdpSink's deliveries.
       dst->RegisterHandler(
           flow.dst_port,
-          [rx = ep.tcp_rx.get(), &ep, &record_tcp_latency](const Packet& p) {
-            record_tcp_latency(ep, p);
+          [rx = ep.tcp_rx.get(), &ep, &latency, &scheduler](const Packet& p) {
+            if (p.payload_bytes() > 0) {
+              latency.RecordDelivery(p, scheduler.Now(), ep.tcp_delay_chain);
+            }
             rx->OnPacket(p);
           });
       src->RegisterHandler(flow.src_port,

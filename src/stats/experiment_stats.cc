@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/packet/packet.h"
 #include "src/util/logging.h"
 
 namespace hacksim {
@@ -38,13 +39,20 @@ double GoodputTracker::TotalGoodputMbps(SimTime end) const {
   return static_cast<double>(total_bytes_) * 8.0 / end.ToSecondsF() / 1e6;
 }
 
-void LatencyRecorder::Record(uint8_t ac, SimTime delay) {
-  per_ac_[ac].delays_ns.push_back(delay.ns());
-}
-
-void LatencyRecorder::RecordJitter(uint8_t ac, SimTime delta) {
-  per_ac_[ac].jitter_sum_ns += delta.ns();
-  ++per_ac_[ac].jitter_count;
+void LatencyRecorder::RecordDelivery(const Packet& packet, SimTime now,
+                                     DelayChain& chain) {
+  SimTime delay = now - packet.created_at();
+  AcSamples& samples =
+      per_ac_[packet.has_ip() ? AcForTos(packet.ip().tos) : kAcBe];
+  samples.delays_ns.push_back(delay.ns());
+  if (chain.has_delay) {
+    SimTime delta = delay >= chain.last_delay ? delay - chain.last_delay
+                                              : chain.last_delay - delay;
+    samples.jitter_sum_ns += delta.ns();
+    ++samples.jitter_count;
+  }
+  chain.last_delay = delay;
+  chain.has_delay = true;
 }
 
 LatencySummary LatencyRecorder::Summarize(uint8_t ac) const {

@@ -14,6 +14,8 @@
 
 namespace hacksim {
 
+class Packet;
+
 // Records bytes delivered over time for one flow and evaluates goodput over
 // arbitrary windows (the paper uses steady-state windows for Figure 10).
 class GoodputTracker {
@@ -53,14 +55,22 @@ struct LatencySummary {
       default;
 };
 
+// One receiving endpoint's jitter chain: the delay of its last delivery.
+struct DelayChain {
+  SimTime last_delay;
+  bool has_delay = false;
+};
+
 // Collects per-packet delays bucketed by access category. One recorder per
-// scenario run; every UDP sink feeds it (delays via Record, consecutive
-// same-sink deltas via RecordJitter). Deterministic: sample order is event
-// order, and Summarize sorts a copy.
+// scenario run; every UDP sink and TCP receiving handler feeds it.
+// Deterministic: sample order is event order, and Summarize sorts a copy.
 class LatencyRecorder {
  public:
-  void Record(uint8_t ac, SimTime delay);
-  void RecordJitter(uint8_t ac, SimTime delta);
+  // Records `packet` delivered at `now` by the endpoint that owns `chain`:
+  // its enqueue→delivery delay (Packet::created_at is stamped at the
+  // source) under the packet's DSCP-derived AC, and, from the endpoint's
+  // second delivery on, |delay − previous delay| as a jitter sample.
+  void RecordDelivery(const Packet& packet, SimTime now, DelayChain& chain);
   LatencySummary Summarize(uint8_t ac) const;
 
  private:

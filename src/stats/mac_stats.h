@@ -85,9 +85,6 @@ struct MacStats {
   uint64_t nav_resets = 0;         // RTS-set NAV reclaimed after the probe
                                    // window passed with no PHY activity
                                    // (802.11's NAV-reset rule)
-  uint64_t cf_ends_sent = 0;       // CF-End truncations broadcast by the
-                                   // originator after a dead reservation
-  uint64_t cf_end_truncations = 0; // NAV released early by a received CF-End
 
   // --- rate adaptation -------------------------------------------------------
   // Data-PPDU count per rate-table index (the adaptation histogram; with a

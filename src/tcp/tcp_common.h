@@ -1,11 +1,12 @@
 // Shared TCP machinery: configuration, 32-bit sequence arithmetic and the
 // timestamp clock. The TCP model is deliberately faithful where the paper's
 // dynamics depend on it: delayed ACKs (1 per 2 segments — the assumption
-// behind every capacity figure), NewReno congestion control with fast
-// retransmit (HACK must preserve dupacks; §6 criticises prior work for
+// behind every capacity figure), fast retransmit with RFC 6675 SACK loss
+// recovery (HACK must preserve dupacks; §6 criticises prior work for
 // breaking them), RFC 6298 retransmission timeouts (the §3.2 stall scenario)
 // and RFC 7323 timestamps (the 52-byte ACKs of Table 2, and §5's
-// timestamp-echo future-work variant).
+// timestamp-echo future-work variant). Both endpoints always negotiate SACK
+// and timestamps, as the paper's Linux stacks did.
 #ifndef SRC_TCP_TCP_COMMON_H_
 #define SRC_TCP_TCP_COMMON_H_
 
@@ -31,12 +32,9 @@ inline uint32_t Seq32Max(uint32_t a, uint32_t b) {
 
 inline constexpr uint32_t kTcpInitialCwndSegments = 10;
 inline constexpr uint8_t kTcpWindowScale = 7;
-inline constexpr bool kTcpUseTimestamps = true;
-inline constexpr bool kTcpUseSack = true;
 
 // Delayed ACK (RFC 1122 / 5681): one ACK per kTcpDelayedAckSegments full
 // segments, or after kTcpDelayedAckTimeout, whichever first.
-inline constexpr bool kTcpDelayedAck = true;
 inline constexpr uint32_t kTcpDelayedAckSegments = 2;
 inline constexpr SimTime kTcpDelayedAckTimeout = SimTime::Millis(40);
 

@@ -23,8 +23,6 @@ void TcpReceiver::OnPacket(const Packet& packet) {
     // New connection (or retransmitted SYN).
     irs_ = tcp.seq;
     rcv_nxt_ = irs_ + 1;
-    peer_timestamps_ok_ = tcp.timestamps.has_value() && kTcpUseTimestamps;
-    peer_sack_ok_ = tcp.sack_permitted && kTcpUseSack;
     if (tcp.timestamps.has_value()) {
       ts_recent_ = tcp.timestamps->tsval;
     }
@@ -60,10 +58,8 @@ void TcpReceiver::SendSynAck() {
   tcp.window = 65535;
   tcp.mss = static_cast<uint16_t>(config_.mss);
   tcp.window_scale = kTcpWindowScale;
-  tcp.sack_permitted = kTcpUseSack;
-  if (peer_timestamps_ok_) {
-    tcp.timestamps = TcpTimestamps{TsClock(scheduler_->Now()), ts_recent_};
-  }
+  tcp.sack_permitted = true;
+  tcp.timestamps = TcpTimestamps{TsClock(scheduler_->Now()), ts_recent_};
   Packet p = Packet::MakeTcp(back.src_ip, back.dst_ip, tcp, 0);
   p.mutable_ip().tos = config_.tos;
   p.set_created_at(scheduler_->Now());
@@ -134,8 +130,7 @@ void TcpReceiver::AcceptData(const Packet& packet) {
 }
 
 void TcpReceiver::MaybeSendAck(bool force_immediate) {
-  if (!kTcpDelayedAck || force_immediate ||
-      segments_since_ack_ >= kTcpDelayedAckSegments) {
+  if (force_immediate || segments_since_ack_ >= kTcpDelayedAckSegments) {
     SendAck();
     return;
   }
@@ -165,7 +160,7 @@ uint16_t TcpReceiver::AdvertisedWindowField() const {
 
 SackList TcpReceiver::BuildSackBlocks() const {
   SackList blocks;
-  if (!peer_sack_ok_ || ooo_.empty()) {
+  if (ooo_.empty()) {
     return blocks;
   }
   // Most recently changed block first (RFC 2018), then the rest, max 3
@@ -203,9 +198,7 @@ void TcpReceiver::SendAck() {
   tcp.ack = rcv_nxt_;
   tcp.flag_ack = true;
   tcp.window = AdvertisedWindowField();
-  if (peer_timestamps_ok_) {
-    tcp.timestamps = TcpTimestamps{TsClock(scheduler_->Now()), ts_recent_};
-  }
+  tcp.timestamps = TcpTimestamps{TsClock(scheduler_->Now()), ts_recent_};
   tcp.sack_blocks = BuildSackBlocks();
   Packet p = Packet::MakeTcp(back.src_ip, back.dst_ip, tcp, 0);
   p.mutable_ip().tos = config_.tos;

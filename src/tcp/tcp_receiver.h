@@ -69,8 +69,6 @@ class TcpReceiver {
   uint32_t iss_ = 0;       // our initial seq
   uint32_t rcv_nxt_ = 0;
   uint32_t snd_nxt_ = 0;   // our (data-less) sequence
-  bool peer_timestamps_ok_ = false;
-  bool peer_sack_ok_ = false;
   uint32_t ts_recent_ = 0;
   uint32_t last_sacked_edge_ = 0;  // most recently arrived OOO block start
 

@@ -32,10 +32,8 @@ void TcpSender::SendSyn() {
   tcp.window = 65535;
   tcp.mss = static_cast<uint16_t>(config_.mss);
   tcp.window_scale = kTcpWindowScale;
-  tcp.sack_permitted = kTcpUseSack;
-  if (kTcpUseTimestamps) {
-    tcp.timestamps = TcpTimestamps{TsClock(scheduler_->Now()), 0};
-  }
+  tcp.sack_permitted = true;
+  tcp.timestamps = TcpTimestamps{TsClock(scheduler_->Now()), 0};
   Packet p = Packet::MakeTcp(flow_.src_ip, flow_.dst_ip, tcp, 0);
   p.mutable_ip().tos = config_.tos;
   p.set_created_at(scheduler_->Now());
@@ -88,9 +86,7 @@ void TcpSender::SendSegment(uint32_t seq, uint32_t len,
   tcp.ack = rcv_nxt_;
   tcp.flag_ack = true;
   tcp.window = 65535;
-  if (kTcpUseTimestamps && peer_timestamps_ok_) {
-    tcp.timestamps = TcpTimestamps{TsClock(scheduler_->Now()), ts_recent_};
-  }
+  tcp.timestamps = TcpTimestamps{TsClock(scheduler_->Now()), ts_recent_};
   Packet p = Packet::MakeTcp(flow_.src_ip, flow_.dst_ip, tcp, len);
   p.mutable_ip().tos = config_.tos;
   p.set_created_at(scheduler_->Now());
@@ -113,14 +109,6 @@ bool TcpSender::IsSacked(uint32_t seq, uint32_t len) const {
   return false;
 }
 
-uint32_t TcpSender::NextUnsackedAbove(uint32_t from) const {
-  uint32_t seq = from;
-  while (Seq32Lt(seq, snd_nxt_) && IsSacked(seq, config_.mss)) {
-    seq += config_.mss;
-  }
-  return seq;
-}
-
 void TcpSender::OnPacket(const Packet& packet) {
   if (!packet.has_tcp()) {
     return;
@@ -135,9 +123,6 @@ void TcpSender::OnPacket(const Packet& packet) {
       rcv_nxt_ = tcp.seq + 1;
       peer_window_ = tcp.window;
       peer_wscale_ = tcp.window_scale.value_or(0);
-      peer_sack_ok_ = tcp.sack_permitted && kTcpUseSack;
-      peer_timestamps_ok_ =
-          tcp.timestamps.has_value() && kTcpUseTimestamps;
       if (tcp.timestamps.has_value()) {
         ts_recent_ = tcp.timestamps->tsval;
       }
@@ -174,12 +159,9 @@ void TcpSender::HandleAck(const TcpHeader& tcp) {
       }
     }
   }
-  if (!tcp.sack_blocks.empty() && peer_sack_ok_) {
-    for (const SackBlock& block : tcp.sack_blocks) {
-      // Merge-free scoreboard: keep blocks, prune below snd_una_ later.
-      sacked_.push_back(block);
-    }
-  }
+  // Merge-free scoreboard: keep blocks, prune below snd_una_ later.
+  sacked_.insert(sacked_.end(), tcp.sack_blocks.begin(),
+                 tcp.sack_blocks.end());
   peer_window_ = tcp.window;
 
   uint32_t ack = tcp.ack;
@@ -194,14 +176,8 @@ void TcpSender::HandleAck(const TcpHeader& tcp) {
       ++stats_.dupacks_received;
       ++dupack_count_;
       if (in_fast_recovery_) {
-        if (peer_sack_ok_) {
-          // SACK recovery: the scoreboard just grew; fill the pipe.
-          RecoverySend();
-        } else {
-          // Classic NewReno inflation.
-          cwnd_ += config_.mss;
-          TrySendData();
-        }
+        // The scoreboard just grew; fill the pipe.
+        RecoverySend();
       } else if (dupack_count_ == 3) {
         EnterFastRecovery();
       }
@@ -235,23 +211,10 @@ void TcpSender::HandleAck(const TcpHeader& tcp) {
       in_fast_recovery_ = false;
       recovery_retx_.clear();
       cwnd_ = ssthresh_;
-    } else if (peer_sack_ok_) {
-      // Partial ACK under SACK recovery: the pipe shrank; refill it.
+    } else {
+      // Partial ACK: the pipe shrank; refill it.
       RestartRtoTimer();
       RecoverySend();
-      return;
-    } else {
-      // NewReno partial ACK: retransmit the next hole, deflate.
-      uint32_t next_hole = snd_una_;
-      uint32_t len = static_cast<uint32_t>(
-          std::min<uint64_t>(config_.mss, snd_nxt_ - next_hole));
-      if (len > 0) {
-        SendSegment(next_hole, len, /*is_retransmission=*/true);
-      }
-      cwnd_ = cwnd_ > newly_acked ? cwnd_ - newly_acked : config_.mss;
-      cwnd_ += config_.mss;
-      RestartRtoTimer();
-      TrySendData();
       return;
     }
   } else {
@@ -292,21 +255,13 @@ void TcpSender::EnterFastRecovery() {
   recovery_retx_.clear();
   uint32_t flight = FlightSize();
   ssthresh_ = std::max(flight / 2, 2 * config_.mss);
-  if (peer_sack_ok_) {
-    cwnd_ = ssthresh_;
-    recovery_retx_[snd_una_] = scheduler_->Now();
-    uint32_t len = static_cast<uint32_t>(
-        std::min<uint64_t>(config_.mss, snd_nxt_ - snd_una_));
-    SendSegment(snd_una_, len, /*is_retransmission=*/true);
-    RestartRtoTimer();
-    RecoverySend();
-    return;
-  }
-  cwnd_ = ssthresh_ + 3 * config_.mss;
+  cwnd_ = ssthresh_;
+  recovery_retx_[snd_una_] = scheduler_->Now();
   uint32_t len = static_cast<uint32_t>(
       std::min<uint64_t>(config_.mss, snd_nxt_ - snd_una_));
   SendSegment(snd_una_, len, /*is_retransmission=*/true);
   RestartRtoTimer();
+  RecoverySend();
 }
 
 uint32_t TcpSender::HighestSacked() const {

@@ -1,7 +1,9 @@
 // TCP bulk-data sender: connection setup, sliding window limited by
-// min(cwnd, receiver window), slow start / congestion avoidance, NewReno
-// fast retransmit & recovery (SACK-assisted when available), RFC 6298 RTO
-// with exponential backoff, RFC 7323 timestamps for RTT measurement.
+// min(cwnd, receiver window), slow start / congestion avoidance, fast
+// retransmit with RFC 6675 SACK-based loss recovery, RFC 6298 RTO with
+// exponential backoff, RFC 7323 timestamps for RTT measurement. The SYN
+// always offers SACK and timestamps, and the only peer is TcpReceiver,
+// which always grants both.
 #ifndef SRC_TCP_TCP_SENDER_H_
 #define SRC_TCP_TCP_SENDER_H_
 
@@ -78,7 +80,6 @@ class TcpSender {
   uint32_t FlightSize() const { return snd_nxt_ - snd_una_; }
   uint32_t EffectiveWindow() const;
   bool IsSacked(uint32_t seq, uint32_t len) const;
-  uint32_t NextUnsackedAbove(uint32_t from) const;
   uint64_t RemainingAppBytes() const;
 
   Scheduler* scheduler_;
@@ -100,10 +101,8 @@ class TcpSender {
   uint32_t ssthresh_ = 0xFFFFFFFF;
   uint32_t peer_window_ = 0;
   uint8_t peer_wscale_ = 0;
-  bool peer_sack_ok_ = false;
-  bool peer_timestamps_ok_ = false;
 
-  // Fast recovery (NewReno).
+  // Fast recovery.
   uint32_t dupack_count_ = 0;
   bool in_fast_recovery_ = false;
   uint32_t recover_ = 0;

@@ -12,8 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "src/util/logging.h"
-
 namespace hacksim {
 
 // Append-only byte sink.
@@ -41,17 +39,6 @@ class ByteWriter {
     bytes_.push_back(static_cast<uint8_t>(v >> 8));
     bytes_.push_back(static_cast<uint8_t>(v >> 16));
     bytes_.push_back(static_cast<uint8_t>(v >> 24));
-  }
-
-  // Overwrites a previously written byte (e.g. to patch a length field).
-  void PatchU8(size_t offset, uint8_t v) {
-    CHECK_LT(offset, bytes_.size());
-    bytes_[offset] = v;
-  }
-  void PatchU16Be(size_t offset, uint16_t v) {
-    CHECK_LE(offset + 2, bytes_.size());
-    bytes_[offset] = static_cast<uint8_t>(v >> 8);
-    bytes_[offset + 1] = static_cast<uint8_t>(v);
   }
 
   size_t size() const { return bytes_.size(); }

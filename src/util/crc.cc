@@ -1,61 +1,6 @@
 #include "src/util/crc.h"
 
-#include <array>
-
 namespace hacksim {
-namespace {
-
-std::array<uint32_t, 256> MakeCrc32Table() {
-  std::array<uint32_t, 256> table{};
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t crc = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc & 1) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
-    }
-    table[i] = crc;
-  }
-  return table;
-}
-
-const std::array<uint32_t, 256>& Crc32Table() {
-  static const std::array<uint32_t, 256> table = MakeCrc32Table();
-  return table;
-}
-
-}  // namespace
-
-uint32_t Crc32(std::span<const uint8_t> data) {
-  const auto& table = Crc32Table();
-  uint32_t crc = 0xFFFFFFFFu;
-  for (uint8_t byte : data) {
-    crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-uint16_t Crc16(std::span<const uint8_t> data) {
-  uint16_t crc = 0xFFFF;
-  for (uint8_t byte : data) {
-    crc ^= static_cast<uint16_t>(byte) << 8;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc & 0x8000) ? static_cast<uint16_t>((crc << 1) ^ 0x1021)
-                           : static_cast<uint16_t>(crc << 1);
-    }
-  }
-  return crc;
-}
-
-uint8_t Crc8Rohc(std::span<const uint8_t> data) {
-  uint8_t crc = 0xFF;
-  for (uint8_t byte : data) {
-    crc ^= byte;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc & 0x80) ? static_cast<uint8_t>((crc << 1) ^ 0x07)
-                         : static_cast<uint8_t>(crc << 1);
-    }
-  }
-  return crc;
-}
 
 uint8_t Crc3Rohc(std::span<const uint8_t> data) {
   // Bit-serial CRC-3 with polynomial x^3 + x + 1 (0b011 taps), init 0x7,

@@ -1,8 +1,7 @@
-// CRC implementations used across the stack:
-//  * CRC-32  (IEEE 802.3)  — 802.11 frame FCS and general integrity in tests.
-//  * CRC-16  (CCITT)       — HACK payload envelope integrity.
-//  * CRC-8   (ROHC, poly 0xE0 reflected / x^8+x^2+x+1) — ROHC refresh packets.
-//  * CRC-3   (ROHC, x^3+x+1) — per-compressed-ACK validation (RFC 5795 §5.3.1.1).
+// ROHC CRC-3 (x^3+x+1): the per-compressed-ACK check (RFC 5795 §5.3.1.1)
+// that ComputeAckCrc3 stamps on every record. It is the only checksum the
+// simulator computes: FCS corruption is modelled by the PHY's loss verdicts,
+// and the HACK payload envelope is a count byte followed by the records.
 #ifndef SRC_UTIL_CRC_H_
 #define SRC_UTIL_CRC_H_
 
@@ -10,15 +9,6 @@
 #include <span>
 
 namespace hacksim {
-
-// IEEE 802.3 CRC-32 (reflected, init 0xFFFFFFFF, final xor 0xFFFFFFFF).
-uint32_t Crc32(std::span<const uint8_t> data);
-
-// CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF).
-uint16_t Crc16(std::span<const uint8_t> data);
-
-// ROHC CRC-8: polynomial x^8 + x^2 + x + 1 (0x07), init 0xFF (RFC 5795).
-uint8_t Crc8Rohc(std::span<const uint8_t> data);
 
 // ROHC CRC-3: polynomial x^3 + x + 1 (0x3), init 0x7 (RFC 5795).
 // Returns a value in [0, 7].

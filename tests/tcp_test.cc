@@ -1,13 +1,14 @@
 // TCP unit tests over an in-memory pipe with controllable loss, delay and
 // reordering — no 802.11 involved. Covers the handshake, slow start,
 // delayed ACKs (the 2:1 ratio every capacity figure assumes), fast
-// retransmit, SACK recovery, RTO backoff and completion.
+// retransmit, SACK recovery, RTO backoff, completion and the wire format.
 #include <gtest/gtest.h>
 
 #include <deque>
 
 #include "src/sim/random.h"
 #include "src/sim/scheduler.h"
+#include "src/stats/experiment_stats.h"
 #include "src/tcp/tcp_receiver.h"
 #include "src/tcp/tcp_sender.h"
 
@@ -244,6 +245,58 @@ TEST(TcpTest, TimestampsEchoed) {
   EXPECT_GT(pipe.sender.srtt().ns(), 0);
   // RTT estimate should reflect the 2x5 ms pipe.
   EXPECT_NEAR(pipe.sender.srtt().ToMillisF(), 10.0, 5.0);
+}
+
+// The wire format behind Table 2: both ends negotiate SACK and timestamps,
+// every segment and ACK carries the timestamp option, and a pure ACK
+// without SACK blocks is IPv4 20 + TCP 20 + timestamps 12 = 52 bytes, the
+// size HackStats credits each compressed ACK with.
+TEST(TcpTest, WireFormatCarriesTimestampsAndSackPermitted) {
+  TcpPipe pipe(1'000'000);
+  HackStats one_ack;
+  one_ack.unique_compressed_acks = 1;
+  uint64_t without_timestamps = 0;
+  uint64_t syns_with_sack_ok = 0;
+  uint64_t plain_acks = 0;
+  uint64_t plain_acks_off_size = 0;
+  uint64_t sack_acks = 0;
+  auto inspect = [&](const Packet& p) {
+    const TcpHeader& tcp = p.tcp();
+    without_timestamps += tcp.timestamps.has_value() ? 0 : 1;
+    if (tcp.flag_syn) {
+      syns_with_sack_ok += tcp.sack_permitted ? 1 : 0;
+    } else if (p.IsPureTcpAck() && !tcp.sack_blocks.empty()) {
+      ++sack_acks;
+    } else if (p.IsPureTcpAck()) {
+      ++plain_acks;
+      plain_acks_off_size +=
+          p.SizeBytes() == one_ack.vanilla_ack_bytes_equivalent() ? 0 : 1;
+    }
+  };
+  bool dropped_one = false;
+  pipe.drop_data = [&](const Packet& p) {
+    inspect(p);
+    // One loss, so some ACKs carry SACK blocks.
+    if (!dropped_one && p.payload_bytes() > 0 && p.tcp().seq > 100'000) {
+      dropped_one = true;
+      return true;
+    }
+    return false;
+  };
+  pipe.drop_ack = [&](const Packet& p) {
+    inspect(p);
+    return false;
+  };
+  pipe.sender.Start();
+  pipe.sched.RunUntil(SimTime::Seconds(30));
+  ASSERT_TRUE(pipe.sender.complete());
+
+  EXPECT_EQ(without_timestamps, 0u);
+  EXPECT_EQ(syns_with_sack_ok, 2u);  // the SYN and the SYN-ACK
+  EXPECT_GT(plain_acks, 0u);
+  EXPECT_EQ(plain_acks_off_size, 0u);
+  EXPECT_EQ(one_ack.vanilla_ack_bytes_equivalent(), 52u);
+  EXPECT_GT(sack_acks, 0u);
 }
 
 TEST(TcpTest, ReceiverWindowLimitsFlight) {

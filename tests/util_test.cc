@@ -1,4 +1,4 @@
-// Unit tests: MD5 (RFC 1321 vectors), CRC family, byte IO, statistics.
+// Unit tests: MD5 (RFC 1321 vectors), ROHC CRC-3, byte IO, statistics.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -87,18 +87,6 @@ TEST(Md5Test, ResetAllowsReuse) {
 
 // --- CRC ----------------------------------------------------------------------
 
-TEST(CrcTest, Crc32KnownValue) {
-  // The classic check value for "123456789".
-  EXPECT_EQ(Crc32(Bytes("123456789")), 0xCBF43926u);
-}
-
-TEST(CrcTest, Crc16KnownValue) {
-  // CRC-16/CCITT-FALSE("123456789") = 0x29B1.
-  EXPECT_EQ(Crc16(Bytes("123456789")), 0x29B1);
-}
-
-TEST(CrcTest, Crc32EmptyIsZero) { EXPECT_EQ(Crc32({}), 0u); }
-
 TEST(CrcTest, Crc3InRange) {
   for (int i = 0; i < 64; ++i) {
     uint8_t data[5] = {static_cast<uint8_t>(i), 0x55, 0xAA,
@@ -124,10 +112,6 @@ TEST(CrcTest, Crc3DetectsSingleBitFlips) {
   }
   // A CRC-3 detects all single-bit errors.
   EXPECT_EQ(detected, total);
-}
-
-TEST(CrcTest, Crc8DiffersFromInit) {
-  EXPECT_NE(Crc8Rohc(Bytes("x")), Crc8Rohc(Bytes("y")));
 }
 
 // --- ByteWriter / ByteReader -----------------------------------------------------
@@ -165,17 +149,6 @@ TEST(BitIoTest, TruncatedMultiByteReadDoesNotConsume) {
   ByteReader r(w.bytes());
   EXPECT_FALSE(r.ReadU32Be().has_value());
   EXPECT_EQ(r.ReadU8(), 0x42);  // position unchanged by the failed read
-}
-
-TEST(BitIoTest, PatchOverwrites) {
-  ByteWriter w;
-  w.WriteU8(0);
-  w.WriteU16Be(0);
-  w.PatchU8(0, 9);
-  w.PatchU16Be(1, 0xBEEF);
-  ByteReader r(w.bytes());
-  EXPECT_EQ(r.ReadU8(), 9);
-  EXPECT_EQ(r.ReadU16Be(), 0xBEEF);
 }
 
 TEST(BitIoTest, SkipAndRemaining) {
