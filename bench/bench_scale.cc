@@ -22,7 +22,7 @@
 //   wall       host milliseconds
 //   ev/s       events per wall-clock second (engine throughput)
 //
-// Usage: bench_scale [--json PATH] [--jobs=N] [--repeats=N]
+// Usage: bench_scale [--json PATH] [--jobs=N] [--repeats=N] [--help]
 //   --jobs=N     fan independent runs across N workers (0 = all hardware
 //                threads, the default). Every run's output is bit-identical
 //                at any jobs level — the campaign engine derives run seeds
@@ -32,10 +32,12 @@
 //                legacy columns byte-identically; repeats > 1 add
 //                goodput_mean_mbps / goodput_ci95_mbps (and a post-fault
 //                mean on fault rows) across the replicates.
+// An unknown flag, a number that does not parse completely or is out of
+// range, or --json without a path exits 2 after one stderr line; --help
+// prints the usage and runs nothing.
 // Honours HACKSIM_QUICK=1 (CI): 10/100 stations only, shorter runs, and
-// only the quick pair (w0/w1ms) of the ACK-aggregation ablation rows — the
-// full window sweep plus the EDCA-interaction pair run in the weekly
-// full-matrix job.
+// only tcp+hack-w1ms of the ACK-aggregation ablation rows — the w4ms row
+// plus the EDCA-interaction pair run in the weekly full-matrix job.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -49,6 +51,7 @@
 #include "src/scenario/campaign.h"
 #include "src/sim/random.h"
 #include "src/util/stats.h"
+#include "tools/cli_flags.h"
 
 using namespace hacksim;
 
@@ -90,8 +93,7 @@ struct Workload {
   bool edca = false;
   // --- ACK-aggregation ablation ---------------------------------------------
   // HackAckPolicy flush window in microseconds (0 = policy structurally
-  // absent). The w0 ablation row must stay byte-identical to the plain
-  // tcp/moredata row — check_bench_gates.py enforces it.
+  // absent, pinned in-tree by HackBatchScenarioTest).
   int64_t ack_window_us = 0;
   // DSCP stamped on the TCP flows (0xC0 → VO under EDCA; 0 = legacy BE).
   uint8_t tcp_tos = 0;
@@ -99,12 +101,12 @@ struct Workload {
   // batch counters) for this row.
   bool hack_detail = false;
   // Skip this row in HACKSIM_QUICK mode: the full ablation sweep rides the
-  // weekly full-matrix job; push CI runs only the quick w0/w1ms pair.
+  // weekly full-matrix job; push CI runs only w1ms.
   bool full_only = false;
   // Replicate-seed alias: seeds derive from (stations, seed_group) instead
-  // of this row's own index, so paired rows (w0 vs tcp/moredata, the EDCA
-  // ablation pair) see identical RNG streams and compare run-for-run.
-  // SIZE_MAX = use the row's own workload index.
+  // of this row's own index, so paired rows (the window rows vs
+  // tcp/moredata, the EDCA ablation pair) see identical RNG streams and
+  // compare run-for-run. SIZE_MAX = use the row's own workload index.
   size_t seed_group = SIZE_MAX;
 };
 
@@ -176,9 +178,9 @@ ScaleRow RunOne(int stations, const Workload& w, uint64_t seed) {
     // Token-bucket app pacing on the saturated uplink rows: one transport
     // refill per 16 ms window per station instead of one event per packet
     // (burst size adapts to each station's CBR interval). The downlink
-    // rows keep the classic chain: their per-flow interval at depth is
-    // near/above the window, and their replicate CIs are pinned across
-    // PRs.
+    // rows keep a zero window, one refill per packet at its tick: their
+    // per-flow interval at depth is near/above the window, and their
+    // replicate CIs are pinned across PRs.
     c.udp_burst_window = SimTime::Millis(16);
   }
   c.topology = w.topology;
@@ -400,8 +402,8 @@ void WriteJson(const std::string& path, const std::vector<ScaleRow>& rows) {
       }
     }
     if (r.has_hack_detail) {
-      // ACK-aggregation ablation columns (legacy rows stay byte-identical;
-      // gate 8 strips these before the w0-vs-tcp/moredata comparison).
+      // ACK-aggregation ablation columns (emitted only for hack_detail rows,
+      // so legacy rows stay byte-identical).
       std::fprintf(f,
                    "\"hack_compression_ratio\": %.2f, "
                    "\"hack_ack_batches\": %llu, "
@@ -422,18 +424,35 @@ void WriteJson(const std::string& path, const std::vector<ScaleRow>& rows) {
 int main(int argc, char** argv) {
   std::string json_path;
   int jobs = 0;     // 0 = hardware_concurrency
-  int repeats = 5;  // replicate seeds per 10/100-station row
+  int repeats = 5;  // replicate seeds per row
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    std::string value;
+    bool ok = true;
+    if (std::strcmp(argv[i], "--json") == 0) {
+      if (i + 1 == argc) {
+        std::fprintf(stderr, "bench_scale: --json needs a path\n");
+        return 2;
+      }
       json_path = argv[++i];
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs = std::atoi(argv[i] + 7);
-    } else if (std::strncmp(argv[i], "--repeats=", 10) == 0) {
-      repeats = std::atoi(argv[i] + 10);
+    } else if (ParseFlag(argv[i], "jobs", &value)) {
+      ok = ParseNumber(value, 0, 256, &jobs);
+    } else if (ParseFlag(argv[i], "repeats", &value)) {
+      ok = ParseNumber(value, 1, 1000, &repeats);
+    } else if (std::strcmp(argv[i], "--help") == 0) {
+      std::printf("usage: bench_scale [--json PATH] [--jobs=N] "
+                  "[--repeats=N]\n");
+      return 0;
+    } else {
+      std::fprintf(stderr, "bench_scale: unknown flag (see --help): %s\n",
+                   argv[i]);
+      return 2;
     }
-  }
-  if (repeats < 1) {
-    repeats = 1;
+    if (!ok) {
+      std::fprintf(stderr,
+                   "bench_scale: bad value (not a number in range): %s\n",
+                   argv[i]);
+      return 2;
+    }
   }
 
   PrintHeader("bench_scale",
@@ -493,26 +512,19 @@ int main(int argc, char** argv) {
        /*udp_rate_bps=*/0.0, Topology::kRing, /*allow_zero_bytes=*/false,
        /*fault=*/nullptr, /*mixed_traffic=*/true, /*edca=*/true},
       // --- ACK-aggregation ablation (HackAckPolicy) --------------------------
-      // tcp+hack-w<N> sweeps the flush window over the tcp/moredata cell.
-      // All window rows alias seed_group=2 (the tcp/moredata index): the w0
-      // row must come out byte-identical to that row (gate 8), and the
-      // window>0 rows compare goodput run-for-run against it (gate 9).
-      // Quick mode (push CI) runs only the w0/w1ms pair; the full sweep —
-      // with the EDCA-interaction pair at the end, VO-tagged TCP over the
-      // saturated voice+web zoo without/with a 1 ms window — rides the
-      // weekly full-matrix job.
-      {.label = "tcp+hack-w0", .proto = TransportProto::kTcp,
-       .hack = HackVariant::kMoreData, .ack_window_us = 0,
-       .hack_detail = true, .seed_group = 2},
+      // tcp+hack-w<N> runs the tcp/moredata cell with a flush window. Both
+      // window rows alias seed_group=2 (the tcp/moredata index) and compare
+      // goodput run-for-run against it (check_bench_gates.py gate 8). The
+      // window=0 row would equal tcp/moredata by construction, and 64/256
+      // us windows equal w1ms, so neither is swept. Quick mode (push CI)
+      // runs only w1ms; w4ms and the EDCA-interaction pair at the end,
+      // VO-tagged TCP over the saturated voice+web zoo without/with a 1 ms
+      // window, ride the weekly full-matrix job. The pair's seed_group 17
+      // is its first row's index before the sweep shrank, which keeps its
+      // replicate seeds.
       {.label = "tcp+hack-w1ms", .proto = TransportProto::kTcp,
        .hack = HackVariant::kMoreData, .ack_window_us = 1000,
        .hack_detail = true, .seed_group = 2},
-      {.label = "tcp+hack-w64us", .proto = TransportProto::kTcp,
-       .hack = HackVariant::kMoreData, .ack_window_us = 64,
-       .hack_detail = true, .full_only = true, .seed_group = 2},
-      {.label = "tcp+hack-w256us", .proto = TransportProto::kTcp,
-       .hack = HackVariant::kMoreData, .ack_window_us = 256,
-       .hack_detail = true, .full_only = true, .seed_group = 2},
       {.label = "tcp+hack-w4ms", .proto = TransportProto::kTcp,
        .hack = HackVariant::kMoreData, .ack_window_us = 4000,
        .hack_detail = true, .full_only = true, .seed_group = 2},

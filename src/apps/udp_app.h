@@ -14,9 +14,8 @@ namespace hacksim {
 
 class UdpCbrSource {
  public:
-  // Cap on packets released per refill in bucket mode (bounds the burst a
-  // single event injects into the MAC queue; the window shrinks to
-  // cap * interval).
+  // Cap on packets released per refill (bounds the burst a single event
+  // injects into the MAC queue; the window shrinks to cap * interval).
   static constexpr uint32_t kMaxBurstPackets = 64;
 
   struct Config {
@@ -24,12 +23,12 @@ class UdpCbrSource {
     uint32_t payload_bytes = 1472;
     SimTime start;
     SimTime stop = SimTime::Max();
-    // Token-bucket pacing. Zero (default) keeps the classic chain: one
-    // kTransportTimer event per packet. A window longer than the packet
-    // interval switches to bucket mode: one refill event per window
-    // releases every CBR tick accrued since the last refill, so the event
-    // count drops by the burst factor while byte totals match the classic
-    // chain at every refill boundary and at Stop() (which flushes).
+    // Token-bucket pacing: one kTransportTimer refill event per window
+    // releases every CBR tick (start + k * interval, before `stop`) accrued
+    // since the last refill. The burst is as many intervals as fit in the
+    // window, capped at kMaxBurstPackets. Zero (default), or a window
+    // shorter than two intervals, means one packet per refill: one event
+    // per tick, at the tick.
     SimTime burst_window;
   };
 
@@ -38,17 +37,18 @@ class UdpCbrSource {
 
   void Start();
 
-  // Fault-injection control. Stop() ends the emission chain at the next
-  // tick; Resume(at, stop) re-arms a fresh chain from `at`. The epoch
-  // counter strands the old chain's self-rescheduled event, so stop/resume
-  // cycles never double the emission rate.
+  // Fault-injection control. Stop() releases the ticks accrued before now
+  // and ends emission; Resume(at, stop) restarts the tick grid at `at`. The
+  // epoch counter strands the pending refill, so stop/resume cycles never
+  // double the emission rate.
   void Stop();
   void Resume(SimTime at, SimTime stop = SimTime::Max());
 
   uint64_t packets_sent() const { return packets_sent_; }
 
  private:
-  void EmitNext(uint64_t epoch);
+  // Restarts the tick grid at `from` and arms its first refill there.
+  void ArmAt(SimTime from);
   void Refill(uint64_t epoch);
   void EmitOne();
 
@@ -57,11 +57,10 @@ class UdpCbrSource {
   FiveTuple flow_;
   std::function<void(Packet)> send_;
   SimTime interval_;
-  // Bucket mode (burst_packets_ > 1): the virtual CBR clock. The next
-  // unreleased tick; Max() until Start()/Resume() arms a chain.
+  // The virtual CBR clock: the next unreleased tick; Max() until
+  // Start()/Resume() arms a refill.
   SimTime next_emit_ = SimTime::Max();
-  SimTime period_;             // refill cadence = interval_ * burst_packets_
-  uint32_t burst_packets_ = 1;  // 1 = classic one-event-per-packet chain
+  SimTime period_;  // refill cadence = interval_ * burst packets
   uint64_t packets_sent_ = 0;
   uint64_t epoch_ = 0;
 };

@@ -56,20 +56,10 @@ void DcfEngine::NotifyMediumBusy() {
 }
 
 void DcfEngine::NotifyMediumIdleFrom(SimTime t) {
-  if (medium_busy_) {
-    medium_busy_ = false;
-    idle_since_ = t;
-    Evaluate();
-    return;
-  }
-  // Already announced: only a later idle start (NAV extension without an
-  // intervening physical busy edge) changes anything. Idle time that
-  // actually elapsed still counts toward the countdown first.
-  if (t > idle_since_) {
-    ConsumeElapsedSlots(scheduler_->Now());
-    idle_since_ = t;
-    Evaluate();
-  }
+  CHECK(medium_busy_) << "idle announced without a busy edge";
+  medium_busy_ = false;
+  idle_since_ = t;
+  Evaluate();
 }
 
 void DcfEngine::RequestAccess() {
@@ -90,11 +80,6 @@ void DcfEngine::RequestAccess() {
     // the post-reservation timeline now.
   }
   Evaluate();
-}
-
-void DcfEngine::CancelAccess() {
-  pending_ = false;
-  CancelGrantEvent();
 }
 
 void DcfEngine::Evaluate() {

@@ -51,8 +51,9 @@ class DcfEngine {
   // Physical busy edge, effective immediately.
   void NotifyMediumBusy();
   // The physical carrier is down; the medium counts as idle from `t`
-  // onward (t >= Now(); t > Now() encodes a NAV reservation). Announcing a
-  // later `t` again without an intervening busy edge extends the deferral.
+  // onward (t >= Now(); t > Now() encodes a NAV reservation). Must follow
+  // a busy edge: to move an announced idle start, the owning MAC sends a
+  // busy edge and then the new announcement.
   void NotifyMediumIdleFrom(SimTime t);
   // Immediate idle edge — the eager-notification form.
   void NotifyMediumIdle() { NotifyMediumIdleFrom(scheduler_->Now()); }
@@ -77,7 +78,6 @@ class DcfEngine {
 
   // --- access ----------------------------------------------------------------
   void RequestAccess();
-  void CancelAccess();
   bool access_pending() const { return pending_; }
 
   // --- contention window ------------------------------------------------------

@@ -155,7 +155,6 @@ class ArfRateController {
   void AbandonPick(StationId sid);
 
   const WifiMode& mode(size_t index) const { return table_[index]; }
-  size_t table_size() const { return table_.size(); }
   size_t current_index(StationId sid) const;
 
  private:

@@ -43,21 +43,6 @@ SimTime PayloadAirtime(const Ppdu& ppdu) {
 
 }  // namespace
 
-// --- EDCA parameter table -----------------------------------------------------
-
-std::array<EdcaAcParams, kNumAcs> DefaultEdcaTable() {
-  std::array<EdcaAcParams, kNumAcs> table{};
-  table[kAcVo] = EdcaAcParams{2, 3, 7, SimTime::Micros(1504)};
-  table[kAcVi] = EdcaAcParams{2, 7, 15, SimTime::Micros(3008)};
-  // BE mirrors the base PhyTimings (aifsn 3 == DIFS for 11n, CW 15/1023);
-  // informational only — dcf_ is the BE engine and reads PhyTimings
-  // directly, which is what pins legacy behaviour. Zero TXOP rows fall
-  // back to WifiMacConfig::txop_limit.
-  table[kAcBe] = EdcaAcParams{3, 15, 1023, SimTime::Zero()};
-  table[kAcBk] = EdcaAcParams{7, 15, 1023, SimTime::Zero()};
-  return table;
-}
-
 uint8_t ClassifyAc(const Packet& packet) {
   return packet.has_ip() ? AcForTos(packet.ip().tos) : kAcBe;
 }
@@ -130,7 +115,7 @@ WifiMac::WifiMac(Scheduler* scheduler, WifiPhy* phy, MacAddress address,
       if (ac == kAcBe) {
         continue;
       }
-      const EdcaAcParams& params = config_.edca[ac];
+      const EdcaAcParams& params = kEdcaTable[ac];
       edca_engines_[ac] = std::make_unique<DcfEngine>(
           scheduler, rng.Fork(),
           DcfEngine::Config{timings_.slot,
@@ -322,10 +307,10 @@ std::deque<Packet>& WifiMac::SendQueue(TxState& st, uint8_t ac) {
 }
 
 SimTime WifiMac::TxopLimitFor(uint8_t ac) const {
-  if (config_.edca[ac].txop_limit.IsZero()) {
+  if (kEdcaTable[ac].txop_limit.IsZero()) {
     return config_.txop_limit;
   }
-  return config_.edca[ac].txop_limit;
+  return kEdcaTable[ac].txop_limit;
 }
 
 void WifiMac::Enqueue(Packet&& packet, MacAddress dest) {

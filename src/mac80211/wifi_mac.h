@@ -60,12 +60,19 @@ struct EdcaAcParams {
   SimTime txop_limit;
 };
 
-// 802.11e-2005 Table 7-37 defaults (for a CWmin 15 / CWmax 1023 PHY):
-// VO {aifsn 2, CW 3/7, TXOP 1.504 ms}, VI {aifsn 2, CW 7/15, TXOP 3.008 ms},
-// BE {aifsn 3, CW 15/1023}, BK {aifsn 7, CW 15/1023}. The BE row is pinned
-// to the standard's base timings — the legacy DCF engine *is* the BE engine,
-// which is the core of the edca_enabled=false bit-identity argument.
-std::array<EdcaAcParams, kNumAcs> DefaultEdcaTable();
+// The 802.11e table every EDCA MAC runs, indexed by AC: 802.11e-2005
+// Table 7-37 (for a CWmin 15 / CWmax 1023 PHY). The BE row mirrors the
+// base PhyTimings (aifsn 3 == DIFS for 11n, CW 15/1023) and is
+// informational only: dcf_ is the BE engine and reads PhyTimings directly,
+// which is the core of the edca_enabled=false bit-identity argument. Zero
+// TXOP rows fall back to WifiMacConfig::txop_limit.
+static_assert(kAcVo == 0 && kAcVi == 1 && kAcBe == 2 && kAcBk == 3);
+inline constexpr std::array<EdcaAcParams, kNumAcs> kEdcaTable = {{
+    {2, 3, 7, SimTime::Micros(1504)},   // VO
+    {2, 7, 15, SimTime::Micros(3008)},  // VI
+    {3, 15, 1023, SimTime::Zero()},     // BE
+    {7, 15, 1023, SimTime::Zero()},     // BK
+}};
 
 // Maps a packet to its access category via the IP precedence bits
 // (AcForTos); packets without an IP header ride best-effort.
@@ -113,11 +120,11 @@ struct WifiMacConfig {
   // packet classifies BE and only the BE engine exists (no extra engines,
   // RNG forks or events), so every legacy output stays bit-identical. On:
   // four access categories (VO/VI/BE/BK) each with its own DCF engine
-  // parameterised from `edca`, per-(destination, AC) queues, and internal
-  // contention — same-instant grants resolve to the highest-priority AC,
-  // losers re-draw as virtual collisions (docs/qos.md).
+  // parameterised from kEdcaTable, per-(destination, AC) queues, and
+  // internal contention — same-instant grants resolve to the
+  // highest-priority AC, losers re-draw as virtual collisions
+  // (docs/qos.md).
   bool edca_enabled = false;
-  std::array<EdcaAcParams, kNumAcs> edca = DefaultEdcaTable();
 };
 
 class WifiMac final : public WifiPhyListener {

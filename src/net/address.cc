@@ -57,10 +57,4 @@ uint8_t FiveTuple::RohcCid() const {
   return digest[15];
 }
 
-std::string FiveTuple::ToString() const {
-  return src_ip.ToString() + ":" + std::to_string(src_port) + "->" +
-         dst_ip.ToString() + ":" + std::to_string(dst_port) + "/" +
-         std::to_string(protocol);
-}
-
 }  // namespace hacksim

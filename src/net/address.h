@@ -130,8 +130,6 @@ struct FiveTuple {
   FiveTuple Reversed() const {
     return FiveTuple{dst_ip, src_ip, dst_port, src_port, protocol};
   }
-
-  std::string ToString() const;
 };
 
 struct FiveTupleHash {

@@ -1,7 +1,6 @@
 #include "src/packet/packet.h"
 
 #include <mutex>
-#include <sstream>
 #include <vector>
 
 #include "src/util/logging.h"
@@ -117,31 +116,6 @@ FiveTuple Packet::Flow() const {
     t.dst_port = udp().dst_port;
   }
   return t;
-}
-
-std::string Packet::ToString() const {
-  std::ostringstream os;
-  os << "pkt#" << uid_ << " " << SizeBytes() << "B";
-  if (has_ip()) {
-    os << " " << ip().src << "->" << ip().dst;
-  }
-  if (has_tcp()) {
-    os << " tcp seq=" << tcp().seq;
-    if (tcp().flag_ack) {
-      os << " ack=" << tcp().ack;
-    }
-    if (tcp().flag_syn) {
-      os << " SYN";
-    }
-    if (tcp().flag_fin) {
-      os << " FIN";
-    }
-  }
-  if (has_udp()) {
-    os << " udp";
-  }
-  os << " payload=" << payload_bytes_;
-  return os.str();
 }
 
 }  // namespace hacksim

@@ -106,8 +106,6 @@ class Packet {
   SimTime created_at() const { return created_at_; }
   void set_created_at(SimTime t) { created_at_ = t; }
 
-  std::string ToString() const;
-
  private:
   // Pooled header storage. Blocks come from slabs that stay reachable (via
   // a process-lifetime slab registry — see packet.cc) forever, so neither

@@ -129,7 +129,6 @@ class WifiPhy {
   void OnOwnTxEnd(const Ppdu& ppdu);
 
   const PhyStats& stats() const { return stats_; }
-  uint64_t tx_dropped_busy() const { return stats_.tx_dropped_busy; }
 
  private:
   struct Arrival {

@@ -57,10 +57,6 @@ RohcCompressor::Result RohcCompressor::Compress(const Packet& ack_packet) {
     need_refresh = true;
   }
   uint32_t ack_delta = tcp.ack - st.ack;
-  if (ack_delta > 0xFFFF && ack_delta != 0) {
-    // Permitted via mode-3 absolute, but a stride this wild usually follows
-    // a resync; absolute mode handles it without a full refresh.
-  }
   uint32_t tsval_delta = 0;
   uint32_t tsecr_delta = 0;
   if (tcp.timestamps.has_value() && st.has_timestamps) {
@@ -85,7 +81,6 @@ RohcCompressor::Result RohcCompressor::Compress(const Packet& ack_packet) {
       rec.tsecr = tcp.timestamps->tsecr;
     }
     rec.sack_blocks = tcp.sack_blocks;
-    ++refreshes_sent_;
   } else {
     if (ack_delta == 0) {
       rec.ack_mode = 1;  // dupack: explicit zero delta
@@ -230,7 +225,6 @@ RohcDecompressor::Result RohcDecompressor::Decompress(
   }
 
   if (ctx.stale && !rec.refresh) {
-    ++stale_drops_;
     result.status = Status::kStale;
     return result;
   }

@@ -66,7 +66,6 @@ class RohcCompressor {
   // the flow will be an absolute refresh.
   void ForceRefresh(const FiveTuple& flow);
 
-  uint64_t refreshes_sent() const { return refreshes_sent_; }
   uint64_t cid_collisions() const { return cid_collisions_; }
 
  private:
@@ -79,7 +78,6 @@ class RohcCompressor {
 
   std::unordered_map<FiveTuple, CompressorContext, FiveTupleHash> flows_;
   std::array<std::optional<FiveTuple>, 256> cid_owner_;
-  uint64_t refreshes_sent_ = 0;
   uint64_t cid_collisions_ = 0;
 };
 
@@ -107,7 +105,6 @@ class RohcDecompressor {
 
   uint64_t duplicates() const { return duplicates_; }
   uint64_t crc_failures() const { return crc_failures_; }
-  uint64_t stale_drops() const { return stale_drops_; }
 
  private:
   struct DecompressorContext {
@@ -126,7 +123,6 @@ class RohcDecompressor {
   std::unordered_map<FiveTuple, uint8_t, FiveTupleHash> flow_cids_;
   uint64_t duplicates_ = 0;
   uint64_t crc_failures_ = 0;
-  uint64_t stale_drops_ = 0;
 };
 
 }  // namespace hacksim

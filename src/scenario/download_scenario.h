@@ -120,8 +120,8 @@ struct ScenarioConfig {
   uint32_t udp_payload_bytes = 1472;
   double udp_rate_bps = 250e6;
   // Token-bucket pacing window for the UDP CBR sources: one refill event
-  // per window instead of one event per packet (UdpCbrSource::Config).
-  // Zero (default) keeps the classic per-packet chain bit-identical.
+  // per window releases every tick accrued (UdpCbrSource::Config). Zero
+  // (default) means one refill event per packet, at its tick.
   SimTime udp_burst_window;
 
   // NAV-reset probes as armed per-overhearer events (the historical form)

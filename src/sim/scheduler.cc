@@ -178,33 +178,16 @@ size_t Scheduler::AdvanceWheel(uint64_t tick_limit, bool stop_on_drain) {
 }
 
 bool Scheduler::TakeNext(HeapEntry* out, uint64_t horizon_ns) {
-  // Fast lane: with the heap and the wheel both empty nothing can preempt
-  // the ready run — the common shape of a drained same-tick burst.
-  if (heap_.empty() && wheel_entries_ == 0) {
-    while (ready_pos_ < ready_size_) {
-      const HeapEntry& e = ready_[ready_pos_];
-      if (!IsPendingKnownSlot(e.id)) {
-        ++ready_pos_;  // cancelled after draining: skip
-        continue;
-      }
-      if (static_cast<uint64_t>(e.key >> 64) > horizon_ns) {
-        return false;
-      }
-      *out = e;
-      if (++ready_pos_ == ready_size_) {
-        ready_size_ = 0;  // run fully consumed
-        ready_pos_ = 0;
-      }
-      return true;
-    }
-    ready_size_ = 0;
-    ready_pos_ = 0;
-    return false;
-  }
   for (;;) {
     while (ready_pos_ < ready_size_ &&
            !IsPendingKnownSlot(ready_[ready_pos_].id)) {
       ++ready_pos_;  // cancelled after draining: skip
+    }
+    if (ready_pos_ == ready_size_) {
+      // Run fully consumed (here or by RunLoop's tight lane): rewind, so
+      // the next drain refills the buffer from the front.
+      ready_size_ = 0;
+      ready_pos_ = 0;
     }
     while (!heap_.empty() && !IsPendingKnownSlot(heap_.front().id)) {
       PopTop();  // cancelled: drop the dead entry
@@ -226,10 +209,6 @@ bool Scheduler::TakeNext(HeapEntry* out, uint64_t horizon_ns) {
       }
       if (use_ready) {
         *out = ready_[ready_pos_++];
-        if (ready_pos_ == ready_size_) {
-          ready_size_ = 0;  // run fully consumed
-          ready_pos_ = 0;
-        }
       } else {
         *out = heap_.front();
         PopTop();

@@ -53,8 +53,6 @@ class TcpSender {
   bool established() const { return state_ == State::kEstablished; }
   bool complete() const { return complete_; }
   uint32_t cwnd_bytes() const { return cwnd_; }
-  uint32_t ssthresh_bytes() const { return ssthresh_; }
-  uint64_t bytes_acked() const { return bytes_acked_; }
   SimTime srtt() const { return srtt_; }
   const TcpSenderStats& stats() const { return stats_; }
 

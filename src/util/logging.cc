@@ -1,14 +1,10 @@
 #include "src/util/logging.h"
 
-#include <atomic>
 #include <cstdlib>
 
 namespace hacksim {
 namespace {
 
-// Relaxed atomic: the level is set at startup (possibly read concurrently
-// by campaign worker threads) and never participates in any ordering.
-std::atomic<LogLevel> g_level{LogLevel::kWarning};
 // thread_local: each campaign worker carries the repro recipe of the run it
 // is currently executing, so a CHECK failure on any worker prints the
 // context of *its* run, not whichever run set the context last.
@@ -16,14 +12,8 @@ thread_local std::string g_abort_context;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
     case LogLevel::kWarning:
       return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
     case LogLevel::kFatal:
       return "FATAL";
   }
@@ -32,15 +22,9 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
-void SetLogLevel(LogLevel level) {
-  g_level.store(level, std::memory_order_relaxed);
-}
-
 void SetAbortContext(std::string context) {
   g_abort_context = std::move(context);
 }
-const std::string& GetAbortContext() { return g_abort_context; }
 
 namespace internal {
 

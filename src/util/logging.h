@@ -14,18 +14,11 @@
 
 namespace hacksim {
 
+// Every message goes to stderr; kFatal aborts after emitting.
 enum class LogLevel : int {
-  kDebug = 0,
-  kInfo = 1,
-  kWarning = 2,
-  kError = 3,
-  kFatal = 4,
+  kWarning,
+  kFatal,
 };
-
-// Global log threshold; messages below it are discarded. Defaults to
-// kWarning so tests and benches stay quiet unless they opt in.
-LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
 
 // One-line run context (seed, topology, fault plan, ...) emitted right
 // before any FATAL abort, so a CHECK death in CI is reproducible from the
@@ -34,7 +27,6 @@ void SetLogLevel(LogLevel level);
 // thread-local: each campaign worker holds the repro of the run it is
 // executing, so an abort on any worker names the right run.
 void SetAbortContext(std::string context);
-const std::string& GetAbortContext();
 
 namespace internal {
 
@@ -55,8 +47,7 @@ class LogMessage {
   std::ostringstream stream_;
 };
 
-// Swallows streamed values when a log statement is compiled out or below
-// the active threshold.
+// Swallows streamed values when DCHECK is compiled out.
 class NullStream {
  public:
   template <typename T>
@@ -68,15 +59,10 @@ class NullStream {
 }  // namespace internal
 }  // namespace hacksim
 
-#define HACKSIM_LOG_ENABLED(level) \
-  (::hacksim::LogLevel::level >= ::hacksim::GetLogLevel())
-
 #define LOG(level)                                                        \
-  if (!HACKSIM_LOG_ENABLED(k##level)) {                                   \
-  } else                                                                  \
-    ::hacksim::internal::LogMessage(::hacksim::LogLevel::k##level,        \
-                                    __FILE__, __LINE__)                   \
-        .stream()
+  ::hacksim::internal::LogMessage(::hacksim::LogLevel::k##level, __FILE__, \
+                                  __LINE__)                                \
+      .stream()
 
 // CHECK is always on (release included): simulation correctness depends on
 // these invariants and silent corruption would invalidate every experiment.

@@ -112,15 +112,6 @@ TEST_F(DcfFixture, RxOkClearsEifs) {
   EXPECT_EQ(last_grant_, SimTime::Millis(1));  // immediate: no EIFS residue
 }
 
-TEST_F(DcfFixture, CancelAccessPreventsGrant) {
-  dcf_->NotifyMediumBusy();
-  dcf_->RequestAccess();
-  dcf_->NotifyMediumIdle();
-  dcf_->CancelAccess();
-  sched_.Run();
-  EXPECT_EQ(grants_, 0);
-}
-
 TEST_F(DcfFixture, RepeatedRequestIsIdempotent) {
   sched_.RunUntil(SimTime::Millis(1));
   dcf_->RequestAccess();

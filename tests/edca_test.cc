@@ -24,7 +24,7 @@ Packet TaggedUdpPacket(uint32_t payload, uint8_t tos) {
 }
 
 TEST(EdcaTableTest, DefaultTableMatches80211eAnnexAndTosMapping) {
-  std::array<EdcaAcParams, kNumAcs> table = DefaultEdcaTable();
+  std::array<EdcaAcParams, kNumAcs> table = kEdcaTable;
   EXPECT_EQ(table[kAcVo].aifsn, 2u);
   EXPECT_EQ(table[kAcVo].cw_min, 3u);
   EXPECT_EQ(table[kAcVo].cw_max, 7u);
@@ -53,7 +53,7 @@ TEST(EdcaTableTest, DefaultTableMatches80211eAnnexAndTosMapping) {
 // medium. Pick-for-pick over 20 seeds and all four rows.
 TEST(EdcaEngineTest, GrantTimingMatchesReferenceModelPickForPick) {
   PhyTimings t = TimingsFor(WifiStandard::k80211a);
-  std::array<EdcaAcParams, kNumAcs> table = DefaultEdcaTable();
+  std::array<EdcaAcParams, kNumAcs> table = kEdcaTable;
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     for (uint8_t ac = 0; ac < kNumAcs; ++ac) {
       const EdcaAcParams& row = table[ac];
@@ -93,7 +93,7 @@ TEST(EdcaEngineTest, GrantTimingMatchesReferenceModelPickForPick) {
 // first, whatever either engine draws.
 TEST(EdcaEngineTest, VoAlwaysBeatsBkAfterFreshContentionRound) {
   PhyTimings t = TimingsFor(WifiStandard::k80211a);
-  std::array<EdcaAcParams, kNumAcs> table = DefaultEdcaTable();
+  std::array<EdcaAcParams, kNumAcs> table = kEdcaTable;
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     Scheduler sched;
     auto make = [&](uint8_t ac) {

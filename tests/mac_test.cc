@@ -960,5 +960,196 @@ TEST(MacRtsTest, CoalescedProbeMatchesLegacyPickForPick) {
       << "full stats must match after the scripted trace";
 }
 
+// --- Recovery branches ---------------------------------------------------------
+// A peer removed mid-exchange, the 802.11a single-MPDU retry limit, and
+// radio resets inside a SIFS gap. Each test pins exact counters, then has
+// the MAC serve another peer.
+
+// Originator A (station 0) and peers B (1) and C (2), all in range on a
+// clean channel, plus a passive sniffer that marks the instants a test acts
+// at.
+struct MacTrio {
+  explicit MacTrio(const WifiMacConfig& cfg) : channel(&sched) {
+    for (uint32_t i = 0; i < 3; ++i) {
+      phy[i] = std::make_unique<WifiPhy>(&sched, Random(i + 1));
+      phy[i]->AttachTo(&channel);
+      phy[i]->set_position({5.0 * i, 0});
+      mac[i] = std::make_unique<WifiMac>(&sched, phy[i].get(),
+                                         MacAddress::ForStation(i), cfg,
+                                         Random(11 + i));
+      mac[i]->on_rx_packet = [this, i](Packet p, MacAddress) {
+        received[i].push_back(std::move(p));
+      };
+    }
+    sniffer_phy = std::make_unique<WifiPhy>(&sched, Random(9));
+    sniffer_phy->AttachTo(&channel);
+    sniffer_phy->set_position({0, 5});
+    sniffer_phy->set_listener(&sniffer);
+  }
+
+  // Runs one event at a time until `done()` holds; false if it never does
+  // within 10 ms.
+  template <typename F>
+  bool StepUntil(F done) {
+    while (!done() && sched.Now() < SimTime::Millis(10) && sched.Run(1) > 0) {
+    }
+    return done();
+  }
+
+  void RunFor(SimTime d) { sched.RunUntil(sched.Now() + d); }
+
+  // Power-cycles station i's radio the way the fault engine's reset does.
+  void ResetRadio(uint32_t i) {
+    phy[i]->SetRadioOn(false);
+    mac[i]->ResetRadioState();
+    phy[i]->SetRadioOn(true);
+  }
+
+  Scheduler sched;
+  WirelessChannel channel;
+  std::array<std::unique_ptr<WifiPhy>, 3> phy;
+  std::array<std::unique_ptr<WifiMac>, 3> mac;
+  std::array<std::vector<Packet>, 3> received;
+  std::unique_ptr<WifiPhy> sniffer_phy;
+  SnifferListener sniffer;
+};
+
+constexpr MacAddress kPeerB = MacAddress::ForStation(1);
+constexpr MacAddress kPeerC = MacAddress::ForStation(2);
+
+WifiMacConfig Mac11nConfig(size_t rts_threshold) {
+  WifiMacConfig cfg;
+  cfg.standard = WifiStandard::k80211n;
+  cfg.data_mode = ModeForRate(Modes80211n(), 150);
+  cfg.rts_threshold = rts_threshold;
+  return cfg;
+}
+
+TEST(MacRecoveryTest, PeerLeavingWhileRtsAwaitsCtsAbandonsExchange) {
+  MacTrio t(Mac11nConfig(/*rts_threshold=*/500));
+  const MacStats& a = t.mac[0]->stats();
+  t.mac[0]->Enqueue(MakeUdpPacket(1460), kPeerB);
+  // B's CTS is on the air, so A's RTS went out and A awaits the CTS.
+  ASSERT_TRUE(t.StepUntil([&] { return t.mac[1]->stats().cts_sent == 1; }));
+  t.mac[0]->Disassociate(kPeerB);
+  t.RunFor(SimTime::Millis(1));
+  // A ignores the departed peer's CTS; the CTS timeout ends the exchange.
+  EXPECT_EQ(a.rts_sent, 1u);
+  EXPECT_EQ(a.cts_timeouts, 1u);
+  EXPECT_EQ(a.disassociation_flushes, 1u);
+  EXPECT_EQ(a.ppdus_sent, 0u);
+  EXPECT_FALSE(t.mac[0]->HasBacklog());
+
+  t.mac[0]->Enqueue(MakeUdpPacket(1460), kPeerC);
+  t.RunFor(SimTime::Millis(10));
+  ASSERT_EQ(t.received[2].size(), 1u);
+  EXPECT_TRUE(t.received[1].empty());
+  EXPECT_EQ(a.rts_sent, 2u);
+  EXPECT_EQ(a.cts_timeouts, 1u);
+  EXPECT_EQ(a.ppdus_sent, 1u);
+  EXPECT_EQ(a.mpdus_delivered_first_try, 1u);
+}
+
+TEST(MacRecoveryTest, PeerLeavingBeforeItsResponseArrivesEndsExchange) {
+  MacTrio t(Mac11nConfig(/*rts_threshold=*/500));
+  const MacStats& a = t.mac[0]->stats();
+  // 100 B stays below the RTS threshold: the data goes out unprotected.
+  t.mac[0]->Enqueue(MakeUdpPacket(100), kPeerB);
+  // B decoded the data and holds its Block ACK in the SIFS gap.
+  ASSERT_TRUE(t.StepUntil(
+      [&] { return t.mac[1]->stats().data_mpdus_received == 1; }));
+  t.mac[0]->Disassociate(kPeerB);
+  t.RunFor(SimTime::Millis(1));
+  // The Block ACK ends the exchange; it releases nothing, because the
+  // departed peer's state is gone.
+  EXPECT_EQ(t.mac[1]->stats().block_acks_sent, 1u);
+  EXPECT_EQ(a.response_timeouts, 0u);
+  EXPECT_EQ(a.disassociation_flushes, 1u);
+  EXPECT_EQ(a.mpdus_delivered_first_try, 0u);
+  EXPECT_FALSE(t.mac[0]->HasBacklog());
+
+  // 1460 B to C goes out behind an RTS/CTS.
+  t.mac[0]->Enqueue(MakeUdpPacket(1460), kPeerC);
+  t.RunFor(SimTime::Millis(10));
+  ASSERT_EQ(t.received[2].size(), 1u);
+  EXPECT_EQ(a.rts_sent, 1u);
+  EXPECT_EQ(a.cts_timeouts, 0u);
+  EXPECT_EQ(a.response_timeouts, 0u);
+  EXPECT_EQ(a.mpdus_delivered_first_try, 1u);
+}
+
+TEST(MacRecoveryTest, SingleMpduDropsAtRetryLimit80211a) {
+  WifiMacConfig cfg;
+  cfg.standard = WifiStandard::k80211a;
+  cfg.data_mode = ModeForRate(Modes80211a(), 54);
+  MacTrio t(cfg);
+  const MacStats& a = t.mac[0]->stats();
+  // B decodes no data frame: every attempt times out.
+  t.phy[1]->set_loss_model(std::make_unique<BernoulliLossModel>(1.0, 0.0));
+  t.mac[0]->Enqueue(MakeUdpPacket(1000), kPeerB);
+  t.RunFor(SimTime::Millis(100));
+  // The first attempt plus the 7 retries the limit allows, then a drop.
+  EXPECT_EQ(a.mpdu_tx_attempts, 8u);
+  EXPECT_EQ(a.response_timeouts, 8u);
+  EXPECT_EQ(a.mpdus_dropped_retry_limit, 1u);
+  EXPECT_FALSE(t.mac[0]->HasBacklog());
+
+  t.mac[0]->Enqueue(MakeUdpPacket(1000), kPeerC);
+  t.RunFor(SimTime::Millis(10));
+  ASSERT_EQ(t.received[2].size(), 1u);
+  EXPECT_TRUE(t.received[1].empty());
+  EXPECT_EQ(a.mpdu_tx_attempts, 9u);
+  EXPECT_EQ(a.mpdus_delivered_first_try, 1u);
+  EXPECT_EQ(a.mpdus_dropped_retry_limit, 1u);
+}
+
+TEST(MacRecoveryTest, ResetDuringSifsResponseGapStrandsTheResponse) {
+  MacTrio t(Mac11nConfig(/*rts_threshold=*/0));
+  const MacStats& b = t.mac[1]->stats();
+  t.mac[0]->Enqueue(MakeUdpPacket(1000), kPeerB);
+  // B decoded A's data; its Block ACK waits out SIFS.
+  ASSERT_TRUE(t.StepUntil([&] { return b.data_mpdus_received == 1; }));
+  t.ResetRadio(1);
+  t.RunFor(SimTime::Micros(20));
+  // The response died with the reset.
+  EXPECT_EQ(b.block_acks_sent, 0u);
+  EXPECT_EQ(t.sniffer.frames.size(), 1u);
+
+  // The reset MAC serves C.
+  t.mac[1]->Enqueue(MakeUdpPacket(1000), kPeerC);
+  t.RunFor(SimTime::Millis(10));
+  ASSERT_EQ(t.received[2].size(), 1u);
+  EXPECT_EQ(b.ppdus_sent, 1u);
+  EXPECT_EQ(b.mpdus_delivered_first_try, 1u);
+  EXPECT_EQ(b.response_timeouts, 0u);
+  EXPECT_EQ(t.mac[0]->stats().response_timeouts, 1u);
+}
+
+TEST(MacRecoveryTest, ResetBetweenCtsAndDataStrandsTheDataHop) {
+  MacTrio t(Mac11nConfig(/*rts_threshold=*/500));
+  const MacStats& a = t.mac[0]->stats();
+  t.mac[0]->Enqueue(MakeUdpPacket(1460), kPeerB);
+  // The sniffer (farther from B than A is) decoded B's CTS, so A did too:
+  // A's data PPDU waits out SIFS.
+  ASSERT_TRUE(t.StepUntil([&] { return t.sniffer.frames.size() == 2; }));
+  ASSERT_EQ(t.sniffer.frames[1].type, WifiFrameType::kCts);
+  t.ResetRadio(0);
+  t.RunFor(SimTime::Millis(1));
+  // No data PPDU followed the CTS.
+  EXPECT_EQ(t.sniffer.frames.size(), 2u);
+  EXPECT_EQ(a.rts_sent, 1u);
+  EXPECT_EQ(a.cts_timeouts, 0u);
+  EXPECT_EQ(a.ppdus_sent, 0u);
+  EXPECT_TRUE(t.received[1].empty());
+
+  t.mac[0]->Enqueue(MakeUdpPacket(1460), kPeerC);
+  t.RunFor(SimTime::Millis(10));
+  ASSERT_EQ(t.received[2].size(), 1u);
+  EXPECT_TRUE(t.received[1].empty());
+  EXPECT_EQ(a.rts_sent, 2u);
+  EXPECT_EQ(a.ppdus_sent, 1u);
+  EXPECT_EQ(a.mpdus_delivered_first_try, 1u);
+}
+
 }  // namespace
 }  // namespace hacksim

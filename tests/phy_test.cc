@@ -321,7 +321,7 @@ TEST(WifiPhyTest, SendWhileTransmittingIsRejected) {
       MakeTestPpdu(MacAddress::ForStation(0), MacAddress::ForStation(1))));
   EXPECT_FALSE(f.phy_a.Send(
       MakeTestPpdu(MacAddress::ForStation(0), MacAddress::ForStation(1))));
-  EXPECT_EQ(f.phy_a.tx_dropped_busy(), 1u);
+  EXPECT_EQ(f.phy_a.stats().tx_dropped_busy, 1u);
   f.sched.Run();
 }
 

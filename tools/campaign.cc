@@ -12,8 +12,13 @@
 //   campaign --jobs=8 --seeds=5 --stations=20           # saturate the box
 //   campaign --jobs=1 ...                               # serial reference
 //   campaign --json=/tmp/campaign.json ...              # machine-readable
+//
+// Exit code 0 on success; 2 on flag errors (an unknown flag, a number that
+// does not parse completely or is out of range, or --json= without a
+// path), each reported on one line. --help prints the usage and runs
+// nothing.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -21,6 +26,7 @@
 #include "src/scenario/campaign.h"
 #include "src/sim/random.h"
 #include "src/util/stats.h"
+#include "tools/cli_flags.h"
 
 using namespace hacksim;
 
@@ -69,29 +75,34 @@ int main(int argc, char** argv) {
   uint64_t base_seed = 1;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs = std::atoi(argv[i] + 7);
-    } else if (std::strncmp(argv[i], "--seeds=", 8) == 0) {
-      seeds = std::atoi(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--stations=", 11) == 0) {
-      stations = std::atoi(argv[i] + 11);
-    } else if (std::strncmp(argv[i], "--duration-ms=", 14) == 0) {
-      duration_ms = std::atoll(argv[i] + 14);
-    } else if (std::strncmp(argv[i], "--base-seed=", 12) == 0) {
-      base_seed = std::strtoull(argv[i] + 12, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
+    std::string value;
+    bool ok = true;
+    if (ParseFlag(argv[i], "jobs", &value)) {
+      ok = ParseNumber(value, 0, 256, &jobs);
+    } else if (ParseFlag(argv[i], "seeds", &value)) {
+      ok = ParseNumber(value, 1, 10'000, &seeds);
+    } else if (ParseFlag(argv[i], "stations", &value)) {
+      ok = ParseNumber(value, 1, 100'000, &stations);
+    } else if (ParseFlag(argv[i], "duration-ms", &value)) {
+      ok = ParseNumber(value, 1, 1'000'000'000, &duration_ms);
+    } else if (ParseFlag(argv[i], "base-seed", &value)) {
+      ok = ParseNumber(value, 0, UINT64_MAX, &base_seed);
+    } else if (ParseFlag(argv[i], "json", &json_path)) {
+      ok = !json_path.empty();
+    } else if (std::strcmp(argv[i], "--help") == 0) {
+      std::printf("usage: campaign [--jobs=N] [--seeds=K] [--stations=N] "
+                  "[--duration-ms=D] [--base-seed=S] [--json=PATH]\n");
+      return 0;
     } else {
-      std::fprintf(stderr,
-                   "usage: campaign [--jobs=N] [--seeds=K] [--stations=N] "
-                   "[--duration-ms=D] [--base-seed=S] [--json=PATH]\n");
+      std::fprintf(stderr, "campaign: unknown flag (see --help): %s\n",
+                   argv[i]);
       return 2;
     }
-  }
-  if (seeds < 1 || stations < 1 || duration_ms < 1) {
-    std::fprintf(stderr, "campaign: --seeds/--stations/--duration-ms must "
-                         "be positive\n");
-    return 2;
+    if (!ok) {
+      std::fprintf(stderr, "campaign: bad value (not a number in range, or "
+                   "an empty path): %s\n", argv[i]);
+      return 2;
+    }
   }
 
   // Matrix expansion, in a fixed order: cell-major, seed-minor. The flat

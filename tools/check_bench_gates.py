@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI perf gates over the bench artifacts.
 
-Three gates, all keyed to the committed Release references in the repo root:
+Nine gates, all keyed to the committed Release references in the repo root:
 
 1. Scheduler microbench: the freshly measured BM_SchedulerCancelHeavy must
    not regress more than --max-regress (default 25%) against the committed
@@ -74,22 +74,20 @@ Three gates, all keyed to the committed Release references in the repo root:
    churn or the AP dies and restarts, the cell must climb back to at
    least half its fault-free rate. Committed artifact must carry the
    rows; fresh is checked whenever it does (quick mode included).
-8. ACK-aggregation window=0 identity: at every station count carrying the
-   pair, the "tcp+hack-w0" ablation row (HackAckPolicy configured with
-   flush_window=0) must be byte-identical to the plain "tcp"/moredata row
-   once the row-identity keys (proto, wall_ms) and the ablation-only
-   detail columns are stripped — the off switch is structurally absent,
-   like edca_enabled=false. The w0 row must also report
-   hack_ack_batches == 0. The simulator is deterministic and the ablation
-   rows alias the tcp/moredata replicate seeds (Workload::seed_group), so
-   "identical" really means identical, replicate statistics included.
-   Committed artifact must carry the pair; fresh is checked whenever it
-   does (quick mode included, so every push exercises it).
-9. ACK-aggregation goodput: at every station count carrying the pair, the
-   best-window row "tcp+hack-w1ms" must deliver goodput >= the w0
-   baseline's (same replicate seeds, so this is a paired comparison —
-   batching ACKs must never cost goodput). Deterministic and machine-
-   independent; same committed/fresh policy as gate 8.
+8. ACK-aggregation goodput: at every station count carrying the pair, the
+   best-window row "tcp+hack-w1ms" must deliver goodput >= the plain
+   "tcp"/moredata row's, which is the window=0 baseline (the ablation rows
+   alias its replicate seeds through Workload::seed_group, so this is a
+   paired comparison — batching ACKs must never cost goodput).
+   Deterministic and machine-independent; committed artifact must carry
+   the pair, fresh is checked whenever it does (quick mode included, so
+   every push exercises it).
+9. Reproduction: a fresh full-mode sweep (it carries 1000-station rows)
+   must reproduce the committed BENCH_scale.json: the same rows, keyed by
+   (stations, proto, hack), equal on every key but wall_ms. The simulator
+   is deterministic, so any other difference means a change moved
+   simulated behaviour without regenerating the artifact. A quick-mode
+   fresh sweep runs shorter cells and is skipped.
 
 Usage:
   check_bench_gates.py --committed-micro BENCH_micro.json \
@@ -106,13 +104,9 @@ import argparse
 import json
 import sys
 
-# Keys stripped before the gate-8 dict comparison: row identity (proto),
-# host-dependent timing (wall_ms) and the ablation-only detail columns the
-# w0 row carries but the plain tcp/moredata row does not.
-ABLATION_IDENTITY_STRIP = frozenset({
-    "proto", "wall_ms", "hack_compression_ratio", "hack_ack_batches",
-    "hack_acks_per_flush",
-})
+# The only scale-row key that may differ between two sweeps of the same
+# code: host wall time.
+HOST_TIMING_KEYS = frozenset({"wall_ms"})
 
 # Rows allowed to deliver zero bytes because collapse is the measured
 # physics, not a bug. Explicit allow-list: renaming a row leaves a stale
@@ -145,6 +139,28 @@ def cancel_heavy_ns(path):
 def scale_rows(path):
     with open(path) as f:
         return json.load(f)["rows"]
+
+
+def reproduction_problems(committed, fresh):
+    """Every way `fresh` fails to reproduce `committed`, one line each."""
+    def keyed(rows):
+        return {(r["stations"], r["proto"], r["hack"]):
+                {k: v for k, v in r.items() if k not in HOST_TIMING_KEYS}
+                for r in rows}
+    want, got = keyed(committed), keyed(fresh)
+    problems = []
+    if len(want) != len(committed) or len(got) != len(fresh):
+        problems.append("duplicate (stations, proto, hack) rows")
+    problems += [f"row {k} missing from the fresh sweep"
+                 for k in sorted(want.keys() - got.keys())]
+    problems += [f"row {k} not in the committed artifact"
+                 for k in sorted(got.keys() - want.keys())]
+    for k in sorted(want.keys() & got.keys()):
+        diff = sorted(f for f in want[k].keys() | got[k].keys()
+                      if want[k].get(f) != got[k].get(f))
+        if diff:
+            problems.append(f"row {k} differs on {diff}")
+    return problems
 
 
 def goodput(row):
@@ -325,64 +341,32 @@ def run_gates(args):
                   f"{args.vo_p99_ratio:.1f})")
             failed |= not ok
 
-        # ACK-aggregation ablation gates (8, 9). Keyed by (proto, hack)
-        # since the "tcp" proto appears with hack off AND moredata.
+        # ACK-aggregation goodput gate: w1ms vs the window=0 baseline, the
+        # plain tcp/moredata row. Keyed by (proto, hack) since the "tcp"
+        # proto appears with hack off AND moredata.
         ablation = {}
         for r in all_rows:
             if r["proto"] == "tcp" and r["hack"] == "moredata":
                 ablation.setdefault(r["stations"], {})["base"] = r
-            elif r["proto"] == "tcp+hack-w0":
-                ablation.setdefault(r["stations"], {})["w0"] = r
             elif r["proto"] == "tcp+hack-w1ms":
                 ablation.setdefault(r["stations"], {})["w1ms"] = r
-        id_pairs = {n: d for n, d in ablation.items()
-                    if "base" in d and "w0" in d}
-        if not id_pairs:
-            if label == "committed":
-                print(f"[FAIL] {path}: no tcp+hack-w0 / tcp(moredata) row "
-                      "pairs — the window=0 identity gate has nothing to "
-                      "check")
-                failed = True
-            else:
-                print(f"[SKIP] {path}: no ACK-ablation w0 row pairs")
-        for n in sorted(id_pairs):
-            base_row = id_pairs[n]["base"]
-            w0_row = id_pairs[n]["w0"]
-            base = {k: v for k, v in base_row.items()
-                    if k not in ABLATION_IDENTITY_STRIP}
-            w0 = {k: v for k, v in w0_row.items()
-                  if k not in ABLATION_IDENTITY_STRIP}
-            diff = sorted(k for k in (base.keys() | w0.keys())
-                          if base.get(k) != w0.get(k))
-            batches = int(w0_row.get("hack_ack_batches", -1))
-            ok = not diff and batches == 0
-            verdict = "OK" if ok else "FAIL"
-            print(f"[{verdict}] {label} {n}-station window=0 identity: "
-                  f"tcp+hack-w0 vs tcp/moredata"
-                  + (f" differs on {diff}" if diff else " byte-identical"))
-            if batches != 0:
-                print(f"[FAIL] {label} {n}-station tcp+hack-w0 recorded "
-                      f"{batches} ack batches (the window=0 policy must be "
-                      "structurally absent)")
-            failed |= not ok
-        gp_pairs = {n: d for n, d in ablation.items()
-                    if "w0" in d and "w1ms" in d}
+        gp_pairs = {n: d for n, d in ablation.items() if len(d) == 2}
         if not gp_pairs:
             if label == "committed":
-                print(f"[FAIL] {path}: no tcp+hack-w0 / tcp+hack-w1ms row "
+                print(f"[FAIL] {path}: no tcp(moredata) / tcp+hack-w1ms row "
                       "pairs — the ablation goodput gate has nothing to "
                       "check")
                 failed = True
             else:
                 print(f"[SKIP] {path}: no ACK-ablation goodput row pairs")
         for n in sorted(gp_pairs):
-            base = goodput(gp_pairs[n]["w0"])
+            base = goodput(gp_pairs[n]["base"])
             got = goodput(gp_pairs[n]["w1ms"])
             ok = got >= base
             verdict = "OK" if ok else "FAIL"
             print(f"[{verdict}] {label} {n}-station ablation goodput: "
-                  f"tcp+hack-w1ms {got:.1f} Mbps vs tcp+hack-w0 "
-                  f"{base:.1f} Mbps (floor = w0; paired seeds)")
+                  f"tcp+hack-w1ms {got:.1f} Mbps vs tcp/moredata "
+                  f"{base:.1f} Mbps (floor = window 0; paired seeds)")
             failed |= not ok
 
         # Storm-row gates at the largest station count the artifact
@@ -479,6 +463,25 @@ def run_gates(args):
                   f"{args.goodput_ratio:.1f}x)")
             failed |= not ok
 
+    # Reproduction gate: a fresh full-mode sweep must equal the committed
+    # artifact on every key but host timing.
+    if args.fresh_scale:
+        fresh_rows = scale_rows(args.fresh_scale)
+        if not any(r["stations"] == 1000 for r in fresh_rows):
+            print(f"[SKIP] {args.fresh_scale}: quick sweep (no 1000-station "
+                  "rows), not compared with the committed artifact")
+        else:
+            problems = reproduction_problems(
+                scale_rows(args.committed_scale), fresh_rows)
+            for p in problems:
+                print(f"[FAIL] fresh sweep does not reproduce "
+                      f"{args.committed_scale}: {p}")
+            if not problems:
+                print(f"[OK] fresh sweep reproduces {args.committed_scale}: "
+                      f"{len(fresh_rows)} rows equal on every key but "
+                      "wall_ms")
+            failed |= bool(problems)
+
     if failed:
         print("bench gates FAILED")
         return 1
@@ -490,9 +493,11 @@ def self_test():
     """Exercises every gate's pass AND fail branch on synthetic artifacts.
 
     Builds a minimal artifact pair that satisfies all nine gates (must exit
-    0 with no FAIL line), then a poisoned pair that trips every gate (must
-    exit 1 with a FAIL line per gate). No bench binaries are needed, so CI
-    runs this before spending a minute generating real artifacts.
+    0 with no FAIL line; the fresh copy differs only in wall_ms), then a
+    poisoned fresh artifact that trips every gate (must exit 1 with a FAIL
+    line per gate), then a quick-mode fresh artifact the reproduction gate
+    must skip. No bench binaries are needed, so CI runs this before
+    spending a minute generating real artifacts.
     """
     import contextlib
     import io
@@ -515,17 +520,11 @@ def self_test():
         d.update(kw)
         return d
 
-    def good_rows():
-        tcp_hack = row("tcp", "moredata", goodput_mbps=20.0)
-        w0 = dict(tcp_hack, proto="tcp+hack-w0", wall_ms=11.0,
-                  hack_compression_ratio=11.0, hack_ack_batches=0,
-                  hack_acks_per_flush=0.0)
-        w1ms = dict(w0, proto="tcp+hack-w1ms", goodput_mbps=21.0,
-                    hack_ack_batches=50, hack_acks_per_flush=5.0)
-        return [
+    def good_rows(**overrides):
+        rows = [
             row("udp"),
             row("tcp"),
-            tcp_hack,
+            row("tcp", "moredata", goodput_mbps=20.0),
             row("udp-up"),
             row("udp-rts", goodput_mbps=40.0),
             row("udp-hidden", goodput_mbps=0.0, bytes=0),
@@ -536,11 +535,16 @@ def self_test():
                 lat_be_count=100),
             row("udp-mix-edca", lat_vo_p99_ms=4.0, lat_vo_count=100,
                 lat_be_count=100),
-            w0,
-            w1ms,
+            row("tcp+hack-w1ms", "moredata", goodput_mbps=21.0,
+                hack_compression_ratio=11.0, hack_ack_batches=50,
+                hack_acks_per_flush=5.0),
         ]
+        for r in rows:
+            r.update(overrides)
+        return rows
 
     def poison(rows):
+        """The fresh artifact with one fault per gate; committed stays clean."""
         bad = [dict(r) for r in rows]
         by = {}
         for r in bad:
@@ -553,17 +557,21 @@ def self_test():
         by["udp-rts"]["per_ppdu_transport"] = 100.0  # gate 2: pacing storm
         by["udp-mix-edca"]["lat_vo_p99_ms"] = 9.0    # gate 6: tail too fat
         by["tcp"]["events_per_ppdu"] = 500.0         # gate 2: ev/ppdu
-        by["tcp+hack-w0"]["goodput_mbps"] = 19.0     # gate 8: not identical
-        by["tcp+hack-w0"]["hack_ack_batches"] = 3    # gate 8: policy leaked
-        by["tcp+hack-w1ms"]["goodput_mbps"] = 18.0   # gate 9: under w0
+        by["tcp+hack-w1ms"]["goodput_mbps"] = 18.0   # gate 8: under w0
+        # Gate 9: every edit above is a value the committed copy lacks, and
+        # this row is one it does not carry at all.
+        bad.append(row("udp", stations=10))
         return bad
 
-    def run(tmp, tag, fresh_micro_ns, rows):
+    def run(tmp, tag, fresh_micro_ns, fresh_rows):
         paths = {}
         for name, payload in (
                 ("committed_micro", micro(100.0)),
                 ("fresh_micro", micro(fresh_micro_ns)),
-                ("scale", {"benchmark": "bench_scale", "rows": rows})):
+                ("committed_scale",
+                 {"benchmark": "bench_scale", "rows": good_rows()}),
+                ("fresh_scale",
+                 {"benchmark": "bench_scale", "rows": fresh_rows})):
             p = os.path.join(tmp, f"{tag}_{name}.json")
             with open(p, "w") as f:
                 json.dump(payload, f)
@@ -571,8 +579,8 @@ def self_test():
         args = build_parser().parse_args([
             "--committed-micro", paths["committed_micro"],
             "--fresh-micro", paths["fresh_micro"],
-            "--committed-scale", paths["scale"],
-            "--fresh-scale", paths["scale"],
+            "--committed-scale", paths["committed_scale"],
+            "--fresh-scale", paths["fresh_scale"],
         ])
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -581,9 +589,16 @@ def self_test():
 
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
-        rc, out = run(tmp, "good", 100.0, good_rows())
-        if rc != 0 or "[FAIL]" in out:
+        rc, out = run(tmp, "good", 100.0, good_rows(wall_ms=99.0))
+        if rc != 0 or "[FAIL]" in out or "reproduces" not in out:
             print("self-test FAIL: clean artifacts did not pass:")
+            print(out)
+            ok = False
+
+        rc, out = run(tmp, "quick", 100.0, good_rows(stations=100))
+        if rc != 0 or "[FAIL]" in out or "quick sweep" not in out:
+            print("self-test FAIL: a quick fresh sweep was not skipped by "
+                  "the reproduction gate:")
             print(out)
             ok = False
 
@@ -603,9 +618,9 @@ def self_test():
             "zero bytes delivered",          # gate 5
             "QoS voice tail",                # gate 6
             "post-fault goodput",            # gate 7
-            "window=0 identity",             # gate 8 (dict diff)
-            "structurally absent",           # gate 8 (batch counter)
-            "ablation goodput",              # gate 9
+            "ablation goodput",              # gate 8
+            "not in the committed artifact",  # gate 9 (row set)
+            "differs on",                    # gate 9 (row values)
         ]
         for marker in expected:
             if not any(marker in l for l in fail_lines):

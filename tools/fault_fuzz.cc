@@ -16,14 +16,20 @@
 //
 //   fault_fuzz --plans=24 --base-seed=1              # CI quick gate
 //   fault_fuzz --plans=240 --base-seed=1000 --jobs=8 # weekly campaign
+//
+// Exit code 2 on flag errors (an unknown flag, or a number that does not
+// parse completely or is out of range), each reported on one line. --help
+// prints the usage and runs nothing.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/scenario/campaign.h"
 #include "src/scenario/fault_plan.h"
 #include "src/sim/random.h"
+#include "tools/cli_flags.h"
 
 using namespace hacksim;
 
@@ -32,16 +38,27 @@ int main(int argc, char** argv) {
   int jobs = 0;  // 0 = hardware_concurrency
   uint64_t base_seed = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--plans=", 8) == 0) {
-      plans = std::atoi(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--base-seed=", 12) == 0) {
-      base_seed = std::strtoull(argv[i] + 12, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs = std::atoi(argv[i] + 7);
+    std::string value;
+    bool ok = true;
+    if (ParseFlag(argv[i], "plans", &value)) {
+      ok = ParseNumber(value, 1, 1'000'000, &plans);
+    } else if (ParseFlag(argv[i], "base-seed", &value)) {
+      ok = ParseNumber(value, 0, UINT64_MAX, &base_seed);
+    } else if (ParseFlag(argv[i], "jobs", &value)) {
+      ok = ParseNumber(value, 0, 256, &jobs);
+    } else if (std::strcmp(argv[i], "--help") == 0) {
+      std::printf("usage: fault_fuzz [--plans=N] [--base-seed=S] "
+                  "[--jobs=N]\n");
+      return 0;
     } else {
+      std::fprintf(stderr, "fault_fuzz: unknown flag (see --help): %s\n",
+                   argv[i]);
+      return 2;
+    }
+    if (!ok) {
       std::fprintf(stderr,
-                   "usage: fault_fuzz [--plans=N] [--base-seed=S] "
-                   "[--jobs=N]\n");
+                   "fault_fuzz: bad value (not a number in range): %s\n",
+                   argv[i]);
       return 2;
     }
   }

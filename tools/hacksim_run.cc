@@ -10,16 +10,15 @@
 // a rate missing from the standard's mode table, or a number that does not
 // parse completely or is out of range), each reported on one line.
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <span>
 #include <string>
-#include <type_traits>
 
 #include "src/scenario/download_scenario.h"
+#include "tools/cli_flags.h"
 
 using namespace hacksim;
 
@@ -64,26 +63,8 @@ struct Flags {
   bool verbose = false;
 };
 
-// Parses all of `text` as a number in [lo, hi].
-template <typename T>
-bool ParseNumber(const std::string& text, std::type_identity_t<T> lo,
-                 std::type_identity_t<T> hi, T* out) {
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && ptr == end && *out >= lo && *out <= hi;
-}
-
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  std::string prefix = std::string("--") + name + "=";
-  if (std::strncmp(arg, prefix.c_str(), prefix.size()) == 0) {
-    *out = arg + prefix.size();
-    return true;
-  }
-  return false;
-}
-
 void Usage() {
-  std::fprintf(stderr,
+  std::fprintf(stdout,
                "usage: hacksim_run [flags]\n"
                "  --standard=a|n        PHY (default n)\n"
                "  --rate=<mbps>         data rate (default 150; 802.11a: 54)\n"
@@ -202,7 +183,7 @@ bool Parse(int argc, char** argv, Flags* flags) {
       Usage();
       std::exit(0);
     } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      std::fprintf(stderr, "unknown flag (see --help): %s\n", argv[i]);
       return false;
     }
     if (!ok) {
@@ -266,7 +247,6 @@ HackVariant VariantFromName(const std::string& name) {
 int main(int argc, char** argv) {
   Flags flags;
   if (!Parse(argc, argv, &flags)) {
-    Usage();
     return 2;
   }
 
