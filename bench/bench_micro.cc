@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot paths a NIC/driver would
 // care about: ROHC compression/decompression, MD5 CID derivation, the
-// discrete-event scheduler, and the PHY/channel arrival path.
+// discrete-event scheduler, the PHY/channel arrival path, and DCF
+// contention.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -8,9 +9,11 @@
 #include <memory>
 #include <vector>
 
+#include "src/mac80211/dcf.h"
 #include "src/net/address.h"
 #include "src/phy80211/frame.h"
 #include "src/phy80211/propagation.h"
+#include "src/phy80211/wifi_mode.h"
 #include "src/phy80211/wifi_phy.h"
 #include "src/rohc/rohc.h"
 #include "src/sim/random.h"
@@ -206,31 +209,88 @@ void BM_PhyOverlap(benchmark::State& state) {
 }
 BENCHMARK(BM_PhyOverlap)->Arg(1)->Arg(8)->Arg(32);
 
-// One PPDU from the centre of a 20 m disk to n receivers placed uniformly
-// on it (all within energy-detect range on the log-distance channel), then
-// every delivery event: the channel's fan-out plus one clean decode per
-// receiver.
+// One PPDU to n receivers, then every delivery event: the channel's fan-out
+// plus one clean decode per receiver. Two geometries, sorted differently by
+// the channel's receiver ordering:
+//   ring:0 — the sender at the centre of a 20 m disk, the receivers placed
+//            uniformly on it (all within energy-detect range on the
+//            log-distance channel), as in disk-uplink-rts-1000;
+//   ring:1 — the dense workload's cell: the receiver at the centre and n - 1
+//            more on a 5 m ring, evenly spaced by angle, sending from the
+//            ring. Its delays span only 1-33 ns and arrive in mirrored
+//            pairs, so nearly every delay ties.
 void BM_ChannelFanout(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));
+  const bool ring = state.range(2) != 0;
   constexpr double kPi = 3.14159265358979;
-  Random rng(7);
-  std::vector<Position> disk = {{0.0, 0.0}};
-  for (size_t i = 0; i < n; ++i) {
-    double r = std::max(1.0, 20.0 * std::sqrt(rng.NextDouble()));
-    double theta = 2.0 * kPi * rng.NextDouble();
-    disk.push_back({r * std::cos(theta), r * std::sin(theta)});
+  std::vector<Position> cell = {{0.0, 0.0}};
+  if (ring) {
+    for (size_t i = 0; i < n; ++i) {
+      double angle = 2.0 * kPi * static_cast<double>(i) / static_cast<double>(n);
+      cell.push_back({5.0 * std::cos(angle), 5.0 * std::sin(angle)});
+    }
+  } else {
+    Random rng(7);
+    for (size_t i = 0; i < n; ++i) {
+      double r = std::max(1.0, 20.0 * std::sqrt(rng.NextDouble()));
+      double theta = 2.0 * kPi * rng.NextDouble();
+      cell.push_back({r * std::cos(theta), r * std::sin(theta)});
+    }
   }
-  StubCell cell(disk, /*log_distance=*/state.range(1) != 0);
+  StubCell stubs(cell, /*log_distance=*/state.range(1) != 0);
+  WifiPhy& sender = *stubs.phys[ring ? 1 : 0];
   const Ppdu ppdu = DataPpdu();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cell.phys[0]->Send(ppdu));
-    cell.sched.Run();
+    benchmark::DoNotOptimize(sender.Send(ppdu));
+    stubs.sched.Run();
   }
   state.counters["ns_per_arrival"] = TimePer(static_cast<double>(n));
 }
 BENCHMARK(BM_ChannelFanout)
-    ->ArgsProduct({{10, 100, 1000}, {0, 1}})
-    ->ArgNames({"n", "log_distance"});
+    ->ArgsProduct({{10, 100, 1000}, {0, 1}, {0, 1}})
+    ->ArgNames({"n", "log_distance", "ring"});
+
+// --- DCF contention ----------------------------------------------------------
+
+// n backlogged 802.11n best-effort DcfEngines on one scheduler, in the dense
+// cell's pattern: every PPDU is one busy edge and one idle edge at every
+// engine. The idle edge arms each engine's grant timer; the earliest grant
+// fires and its engine transmits; the busy edge cancels every other armed
+// grant, and the sender requeues with a post-transmission backoff while the
+// medium is busy. ns_per_edge divides by the 2n engine edges per PPDU.
+void BM_DcfGrantChurn(benchmark::State& state) {
+  const auto n = static_cast<size_t>(state.range(0));
+  const PhyTimings timings = TimingsFor(WifiStandard::k80211n);
+  const DcfEngine::Config config{timings.slot, timings.difs, timings.cw_min,
+                                 timings.cw_max, SimTime::Zero()};
+  const SimTime airtime = SimTime::Micros(200);
+  Scheduler sched;
+  std::vector<std::unique_ptr<DcfEngine>> engines;
+  DcfEngine* sender = nullptr;
+  for (size_t i = 0; i < n; ++i) {
+    engines.push_back(
+        std::make_unique<DcfEngine>(&sched, Random(1000 + i), config));
+    DcfEngine* engine = engines.back().get();
+    engine->on_grant = [&sender, engine]() { sender = engine; };
+    engine->NotifyMediumBusy();
+    engine->RequestAccess();
+  }
+  for (auto _ : state) {
+    for (auto& engine : engines) {
+      engine->NotifyMediumIdle();
+    }
+    sched.Run(1);
+    for (auto& engine : engines) {
+      engine->NotifyMediumBusy();
+    }
+    sender->DrawPostTxBackoff();
+    sender->RequestAccess();
+    sched.RunUntil(sched.Now() + airtime);
+    benchmark::DoNotOptimize(sender);
+  }
+  state.counters["ns_per_edge"] = TimePer(2.0 * static_cast<double>(n));
+}
+BENCHMARK(BM_DcfGrantChurn)->Arg(10)->Arg(100)->Arg(1000);
 
 }  // namespace
 }  // namespace hacksim

@@ -1,8 +1,10 @@
 #include "src/phy80211/wifi_phy.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 
 #include "src/util/logging.h"
 
@@ -344,11 +346,14 @@ void WirelessChannel::TransmitPerPhy(WifiPhy* sender, PpduRef ppdu,
 //   3. Groups are scheduled now, in time order, between the airtime event
 //      and the sender's tx-end event, so same-nanosecond FIFO ordering
 //      against *other* PPDUs' events (and the sender's own) is unchanged.
-// The order itself is one stable sort by delay of the in-range receivers,
-// collected in attach order; the PPDU's shared Delivery record keeps a copy.
+// The in-range receivers are collected in attach order, then OrderByDelay
+// writes them in (delay, attach index) order into the PPDU's shared
+// Delivery record.
 void WirelessChannel::TransmitBatched(WifiPhy* sender, PpduRef ppdu,
                                       SimTime now, SimTime duration) {
   in_range_.clear();
+  int64_t min_delay = std::numeric_limits<int64_t>::max();
+  int64_t max_delay = 0;
   for (size_t idx = 0; idx < phys_.size(); ++idx) {
     WifiPhy* phy = phys_[idx];
     if (phy == sender) {
@@ -362,33 +367,32 @@ void WirelessChannel::TransmitBatched(WifiPhy* sender, PpduRef ppdu,
       ++airtime_.out_of_range;
       continue;
     }
-    in_range_.push_back(Receiver{phy, distance, rx_dbm,
-                                 PropagationDelay(distance).ns(),
-                                 static_cast<uint32_t>(idx)});
+    int64_t delay = PropagationDelay(distance).ns();
+    min_delay = std::min(min_delay, delay);
+    max_delay = std::max(max_delay, delay);
+    in_range_.push_back(
+        Receiver{phy, distance, rx_dbm, delay, static_cast<uint32_t>(idx)});
   }
   if (in_range_.empty()) {
     return;
   }
-  // Stable, so equal delays keep attach order.
-  std::stable_sort(in_range_.begin(), in_range_.end(),
-                   [](const Receiver& a, const Receiver& b) {
-                     return a.delay_ns < b.delay_ns;
-                   });
+  auto n = static_cast<uint32_t>(in_range_.size());
   auto delivery = std::make_shared<Delivery>();
-  delivery->receivers = in_range_;
-  const std::vector<Receiver>& rx = delivery->receivers;
+  delivery->receivers = std::make_unique_for_overwrite<Receiver[]>(n);
+  OrderByDelay(min_delay, static_cast<uint64_t>(max_delay - min_delay),
+               delivery->receivers.get());
+  const Receiver* rx = delivery->receivers.get();
   delivery->ppdu = std::move(ppdu);
 
   // Walk the start runs (at now + delay) and the end runs (at now + delay +
   // duration) together in time order, one event per distinct nanosecond.
-  auto run_end = [&rx](uint32_t lo) {
+  auto run_end = [rx, n](uint32_t lo) {
     uint32_t hi = lo + 1;
-    while (hi < rx.size() && rx[hi].delay_ns == rx[lo].delay_ns) {
+    while (hi < n && rx[hi].delay_ns == rx[lo].delay_ns) {
       ++hi;
     }
     return hi;
   };
-  auto n = static_cast<uint32_t>(rx.size());
   for (uint32_t s = 0, e = 0; e < n;) {
     SimTime end_at = now + SimTime::Nanos(rx[e].delay_ns) + duration;
     SimTime at = end_at;
@@ -408,6 +412,63 @@ void WirelessChannel::TransmitBatched(WifiPhy* sender, PpduRef ppdu,
           delivery->Fire(start_lo, start_hi, end_lo, end_hi);
         },
         EventClass::kChannel);
+  }
+}
+
+// Stable LSD counting passes over the 8-bit digits of delay - min_delay,
+// least significant first. in_range_ starts in attach order and every pass
+// is stable, so the result is ordered by (delay, attach index). The pass
+// count is the span's length in bytes: one pass for a span under 256 ns (a
+// cell under about 76 m across), two under 65536 ns (about 19.6 km). The
+// last pass scatters into `out`; earlier ones ping-pong between in_range_
+// and sort_scratch_. A pass's histogram has only as many buckets as its
+// digit can take, so a narrow span clears and scans only a few.
+void WirelessChannel::OrderByDelay(int64_t min_delay, uint64_t span,
+                                   Receiver* out) {
+  int passes = 1;
+  while (passes < 8 && (span >> (8 * passes)) != 0) {
+    ++passes;
+  }
+  const size_t n = in_range_.size();
+  if (passes > 1 && sort_scratch_.size() < n) {
+    sort_scratch_.resize(n);
+  }
+  // `out` is a fresh allocation, usually cold, and the last pass writes it
+  // in as many streams as it has buckets, which the hardware prefetcher
+  // does not follow. Asking for every line up front overlaps those misses
+  // with the counting.
+  auto* bytes = reinterpret_cast<const char*>(out);
+  for (size_t offset = 0; offset < n * sizeof(Receiver); offset += 64) {
+    __builtin_prefetch(bytes + offset, /*rw=*/1);
+  }
+  Receiver* src = in_range_.data();
+  Receiver* spare = sort_scratch_.data();
+  // Bucket counts, then each bucket's next slot. A pass clears only the
+  // buckets its digit can take.
+  std::array<uint32_t, 256> next;
+  for (int pass = 0; pass < passes; ++pass) {
+    const int shift = 8 * pass;
+    const bool last = pass + 1 == passes;
+    const size_t buckets = last ? (span >> shift) + 1 : next.size();
+    auto digit = [min_delay, shift](const Receiver& r) {
+      return (static_cast<uint64_t>(r.delay_ns - min_delay) >> shift) & 0xFF;
+    };
+    std::fill_n(next.begin(), buckets, 0u);
+    for (size_t i = 0; i < n; ++i) {
+      ++next[digit(src[i])];
+    }
+    uint32_t at = 0;
+    for (size_t b = 0; b < buckets; ++b) {
+      uint32_t count = next[b];
+      next[b] = at;
+      at += count;
+    }
+    Receiver* dst = last ? out : spare;
+    for (size_t i = 0; i < n; ++i) {
+      dst[next[digit(src[i])]++] = src[i];
+    }
+    spare = src;
+    src = dst;
   }
 }
 

@@ -24,11 +24,11 @@
 // kBatched, the default), so per-PPDU event count is bounded by the number
 // of distinct propagation delays — the cell's diameter in light-ns — rather
 // than by the attached-PHY count. The receivers are ordered once per PPDU by
-// (delay, attach index) with one stable sort, and every event of the PPDU
-// covers a range of that one shared order. Arrival times, callback order,
-// and corruption semantics are bit-identical to the historical
-// one-event-per-PHY scheduling, which remains available (kPerPhyEvent) as
-// the reference semantics for the equivalence tests.
+// (delay, attach index) with stable counting passes over the delay's bytes,
+// and every event of the PPDU covers a range of that one shared order.
+// Arrival times, callback order, and corruption semantics are bit-identical
+// to the historical one-event-per-PHY scheduling, which remains available
+// (kPerPhyEvent) as the reference semantics for the equivalence tests.
 #ifndef SRC_PHY80211_WIFI_PHY_H_
 #define SRC_PHY80211_WIFI_PHY_H_
 
@@ -283,10 +283,11 @@ class WirelessChannel {
   // equal-delay starts, one run of equal-delay ends, or both when a start
   // run and an end run land on the same nanosecond. Every event holds the
   // record, so the payload outlives the last end edge the receivers
-  // borrow it for.
+  // borrow it for. The receiver array is left uninitialised when the
+  // record is made: the ordering's last pass writes every entry.
   struct Delivery {
     PpduRef ppdu;
-    std::vector<Receiver> receivers;
+    std::unique_ptr<Receiver[]> receivers;
 
     void Fire(uint32_t start_lo, uint32_t start_hi, uint32_t end_lo,
               uint32_t end_hi) const;
@@ -294,6 +295,10 @@ class WirelessChannel {
 
   void TransmitBatched(WifiPhy* sender, PpduRef ppdu, SimTime now,
                        SimTime duration);
+  // Writes in_range_ into `out` in (delay, attach index) order. `in_range_`
+  // is in attach order and every delay lies in [min_delay, min_delay +
+  // span]; in_range_ and sort_scratch_ are clobbered.
+  void OrderByDelay(int64_t min_delay, uint64_t span, Receiver* out);
   void TransmitPerPhy(WifiPhy* sender, PpduRef ppdu, SimTime now,
                       SimTime duration);
 
@@ -306,6 +311,9 @@ class WirelessChannel {
   uint64_t next_ppdu_id_ = 1;
   // The in-range receivers of the PPDU being sent, reused across PPDUs.
   std::vector<Receiver> in_range_;
+  // The other half of OrderByDelay's ping-pong; touched only by PPDUs whose
+  // delay spread needs two or more passes (a cell wider than about 76 m).
+  std::vector<Receiver> sort_scratch_;
   std::vector<bool> mpdu_verdicts_;
   ChannelAirtime airtime_;
   int active_transmissions_ = 0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -654,6 +655,93 @@ TEST(WifiPhyTest, RandomCellCallbackOrderMatchesPerPhyDelivery) {
     EXPECT_LT(batched_events, per_phy_events);
     EXPECT_GT(batched_air.collisions, 0u);
     EXPECT_EQ(batched_air.out_of_range > 0, geometric);
+  }
+}
+
+// --- receiver ordering: one, two and three counting passes -------------------
+
+// `fixed` first, then radios at seeded positions on a line `length_m` long
+// from the origin, 48 in all; every fourth is co-located with an earlier
+// radio, so equal delays tie.
+std::vector<Position> LineCell(double length_m, std::vector<Position> fixed) {
+  Random rng(77);
+  for (size_t i = fixed.size(); i < 48; ++i) {
+    if (i % 4 == 3) {
+      fixed.push_back(fixed[rng.NextBounded(i)]);
+    } else {
+      fixed.push_back({length_m * rng.NextDouble(), 0.0});
+    }
+  }
+  return fixed;
+}
+
+// The bytes in the delay spread of radio `sender`'s receivers: the number of
+// counting passes the batched channel orders them with.
+int DelaySpanBytes(const std::vector<Position>& cell, size_t sender) {
+  int64_t lo = std::numeric_limits<int64_t>::max();
+  int64_t hi = 0;
+  for (size_t i = 0; i < cell.size(); ++i) {
+    if (i != sender) {
+      double ns = DistanceMeters(cell[sender], cell[i]) / 0.299792458;
+      int64_t delay = std::max<int64_t>(static_cast<int64_t>(ns), 1);
+      lo = std::min(lo, delay);
+      hi = std::max(hi, delay);
+    }
+  }
+  int bytes = 1;
+  while ((static_cast<uint64_t>(hi - lo) >> (8 * bytes)) != 0) {
+    ++bytes;
+  }
+  return bytes;
+}
+
+// Lines of 50 m, 16 km and 40 km put radio 0's receivers across delay
+// spreads that need one, two and three passes. Radios 1 and 2 sit within
+// 0.3 m of radio 0, so those pairs hit the 1 ns delay clamp and tie at
+// different distances. On the two long lines radio 3's end edge and radio
+// 4's start edge share a nanosecond, and radio 4's delay is the larger with
+// the smaller low byte, so an order by low byte first splits that shared
+// event. Four senders (radio 0, its clamped neighbour and two others)
+// overlap on the fixed-loss channel, so every radio is in range. The full
+// callback sequence must match between modes.
+TEST(WifiPhyTest, CountingPassOrderMatchesPerPhyDeliveryOnLines) {
+  const int64_t airtime =
+      MakeTestPpdu(MacAddress::ForStation(0), MacAddress::ForStation(1), 100)
+          .Duration()
+          .ns();
+  const int64_t near = 12 * 256 + 255;
+  ASSERT_LT((near + airtime) & 0xFF, near & 0xFF);
+  const std::vector<Position> clamped = {{0.0, 0.0}, {0.1, 0.0}, {0.25, 0.0}};
+  std::vector<Position> paired = clamped;
+  paired.push_back(AtDelayNs(near));
+  paired.push_back(AtDelayNs(near + airtime));
+  struct Line {
+    double length_m;
+    const std::vector<Position>& fixed;
+    int passes;
+  };
+  for (const Line& l :
+       {Line{50.0, clamped, 1}, Line{16e3, paired, 2}, Line{40e3, paired, 3}}) {
+    const std::vector<Position> line = LineCell(l.length_m, l.fixed);
+    ASSERT_EQ(DelaySpanBytes(line, 0), l.passes) << l.length_m << " m";
+    auto run = [&](ChannelDeliveryMode mode) {
+      OrderCell cell(mode, line, /*geometric=*/false);
+      const size_t senders[] = {0, 1, 9, 30};
+      for (size_t k = 0; k < 4; ++k) {
+        size_t sender = senders[k];
+        cell.sched.ScheduleAt(SimTime::Micros(40 * k), [&cell, sender]() {
+          EXPECT_TRUE(cell.phys[sender]->Send(MakeTestPpdu(
+              MacAddress::ForStation(sender), MacAddress::ForStation(0), 100)));
+        });
+      }
+      cell.sched.Run();
+      return std::pair{cell.log, cell.channel.airtime()};
+    };
+    auto [batched, batched_air] = run(ChannelDeliveryMode::kBatched);
+    auto [per_phy, per_phy_air] = run(ChannelDeliveryMode::kPerPhyEvent);
+    EXPECT_EQ(batched, per_phy) << l.length_m << " m";
+    EXPECT_EQ(batched_air, per_phy_air);
+    EXPECT_GT(batched_air.collisions, 0u);
   }
 }
 
