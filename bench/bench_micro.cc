@@ -215,10 +215,10 @@ BENCHMARK(BM_PhyOverlap)->Arg(1)->Arg(8)->Arg(32);
 //   ring:0 — the sender at the centre of a 20 m disk, the receivers placed
 //            uniformly on it (all within energy-detect range on the
 //            log-distance channel), as in disk-uplink-rts-1000;
-//   ring:1 — the dense workload's cell: the receiver at the centre and n - 1
-//            more on a 5 m ring, evenly spaced by angle, sending from the
-//            ring. Its delays span only 1-33 ns and arrive in mirrored
-//            pairs, so nearly every delay ties.
+//   ring:1 — the dense workload's cell: n stations evenly spaced by angle
+//            on a 5 m ring around one at the centre; the first ring
+//            station sends. Its delays span only 1-33 ns and arrive in
+//            mirrored pairs, so nearly every delay ties.
 void BM_ChannelFanout(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));
   const bool ring = state.range(2) != 0;

@@ -14,16 +14,17 @@ to a function with `nm`. A function of the profiled executable is charged
 to a row of docs/architecture.md's layer map by the source path of the
 object file that defines it: CMake names each object after its source
 (CMakeFiles/<target>.dir/src/sim/scheduler.cc.o), so no debug info is
-needed. The objects are those the executable's CMake link line names,
-with every object of the static libraries on it (or, with --objects DIR,
-every object under DIR). A function that objects of several layers define
-(an inline or template instantiation they share) counts as "other", and so
-does one that no object defines. A PC in a shared library (or the vDSO) is
-charged to that library, under its symbol, or "(after SYM)" when it lies
-past the end of the nearest exported symbol SYM. A PC outside
-every executable mapping counts as "other" too, so the rows always add up
-to the sample count. --check exits 1 unless they do and some samples landed
-in a layer. Standard library only; needs binutils' `nm` and `c++filt`.
+needed. The objects are those on the executable's CMake link line, with
+every object of the static libraries there, so the executable must still
+sit in its build directory. A function that objects of several layers
+define (an inline or template instantiation they share) counts as
+"other", and so does one that no object defines. A PC in a shared library
+(or the vDSO) is charged to that library, under its symbol, or "(after
+SYM)" when it lies past the end of the nearest exported symbol SYM. A PC
+outside every executable mapping counts as "other" too, so the rows
+always add up to the sample count. --check exits 1 unless they do and
+some samples landed in a layer. Standard library only; needs binutils'
+`nm` and `c++filt`.
 """
 import argparse
 import bisect
@@ -192,7 +193,7 @@ def demangle(names):
         {n: n for n in names}
 
 
-def attribute(prefix, objects_dir, layers):
+def attribute(prefix, layers):
     """Counts samples per (row, function); rows are layers, libraries or
     OTHER. Returns (header, total, Counter)."""
     header, pcs = read_samples(prefix)
@@ -200,8 +201,7 @@ def attribute(prefix, objects_dir, layers):
     exe = os.path.realpath(header.get("exe", ""))
     starts = [m[0] for m in maps]
     tables, segments = {}, {}
-    sources = object_sources(walk_objects(objects_dir) if objects_dir
-                             else linked_objects(exe))
+    sources = object_sources(linked_objects(exe))
     counts = collections.Counter()
     for pc, n in collections.Counter(pcs).items():
         i = bisect.bisect_right(starts, pc) - 1
@@ -241,7 +241,7 @@ def attribute(prefix, objects_dir, layers):
 
 def report(args):
     layers = parse_layer_map(os.path.join(ROOT, "docs", "architecture.md"))
-    header, total, counts = attribute(args.out, args.objects, layers)
+    header, total, counts = attribute(args.out, layers)
     period_us = float(header.get("period_us", "100"))
     rows = collections.Counter()
     for (row, _), n in counts.items():
@@ -318,8 +318,6 @@ def main(argv):
     rec.add_argument("--out", required=True, help="output prefix")
     rep.add_argument("out", help="prefix of OUT.pcs and OUT.maps")
     for p in (rec, rep):
-        p.add_argument("--objects", help="directory searched for the CMake "
-                       "object files (default: the executable's link line)")
         p.add_argument("--top", type=int, default=25)
         p.add_argument("--ppdus", type=float,
                        help="PPDUs the run simulated: adds a us/PPDU column")
