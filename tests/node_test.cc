@@ -1,8 +1,15 @@
-// Node / wired-link / routing / goodput-tracker / UDP app tests.
+// Node / wired-link / routing / goodput-tracker / latency-recorder / UDP app
+// tests.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <vector>
 
 #include "src/apps/udp_app.h"
 #include "src/node/node.h"
+#include "src/sim/random.h"
 #include "src/stats/experiment_stats.h"
 
 namespace hacksim {
@@ -135,6 +142,55 @@ TEST(GoodputTrackerTest, EmptyWindowIsZero) {
   t.OnBytesDelivered(SimTime::Millis(100), 1000);
   EXPECT_DOUBLE_EQ(
       t.GoodputMbps(SimTime::Seconds(5), SimTime::Seconds(6)), 0.0);
+}
+
+// Summarize selects p50 and p99 instead of sorting; it must give exactly
+// what a full sort gives, duplicates included.
+TEST(LatencyRecorderTest, SummaryEqualsFullSortReference) {
+  for (size_t n : {1u, 2u, 3u, 99u, 100u, 101u, 1000u}) {
+    LatencyRecorder recorder;
+    DelayChain chain;
+    Random rng(n);
+    std::vector<int64_t> delays;
+    int64_t jitter_sum = 0;
+    SimTime now = SimTime::Seconds(1);
+    for (size_t i = 0; i < n; ++i) {
+      // Few distinct values, so most ranks hold duplicates.
+      int64_t delay_ns = 1'000'000 * static_cast<int64_t>(rng.NextBounded(9));
+      Packet p = Packet::MakeUdp(Ipv4Address::FromOctets(10, 0, 0, 1),
+                                 Ipv4Address::FromOctets(10, 0, 0, 2), 1, 2,
+                                 100);
+      p.set_created_at(now - SimTime::Nanos(delay_ns));
+      recorder.RecordDelivery(p, now, chain);
+      if (!delays.empty()) {
+        jitter_sum += std::abs(delay_ns - delays.back());
+      }
+      delays.push_back(delay_ns);
+      now = now + SimTime::Millis(1);
+    }
+    std::vector<int64_t> sorted = delays;
+    std::sort(sorted.begin(), sorted.end());
+    auto nearest_rank = [&](double q) {
+      size_t rank = static_cast<size_t>(std::ceil(q * static_cast<double>(n)));
+      return static_cast<double>(sorted[std::max<size_t>(rank, 1) - 1]) / 1e6;
+    };
+    int64_t sum = 0;
+    for (int64_t d : delays) {
+      sum += d;
+    }
+    LatencySummary got = recorder.Summarize(kAcBe);
+    EXPECT_EQ(got.count, n);
+    EXPECT_EQ(got.p50_ms, nearest_rank(0.50)) << "n=" << n;
+    EXPECT_EQ(got.p99_ms, nearest_rank(0.99)) << "n=" << n;
+    EXPECT_EQ(got.mean_ms,
+              static_cast<double>(sum) / static_cast<double>(n) / 1e6)
+        << "n=" << n;
+    double jitter = n > 1 ? static_cast<double>(jitter_sum) /
+                                static_cast<double>(n - 1) / 1e6
+                          : 0.0;
+    EXPECT_EQ(got.jitter_ms, jitter) << "n=" << n;
+    EXPECT_EQ(recorder.Summarize(kAcVo), LatencySummary{});
+  }
 }
 
 TEST(UdpAppTest, CbrSourcePacesCorrectly) {

@@ -1,10 +1,16 @@
 // TCP unit tests over an in-memory pipe with controllable loss, delay and
 // reordering — no 802.11 involved. Covers the handshake, slow start,
 // delayed ACKs (the 2:1 ratio every capacity figure assumes), fast
-// retransmit, SACK recovery, RTO backoff, completion and the wire format.
+// retransmit, SACK recovery, RTO backoff, completion and the wire format,
+// plus golden hashes of the sender's loss-recovery traces.
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <functional>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "src/sim/random.h"
 #include "src/sim/scheduler.h"
@@ -17,7 +23,16 @@ namespace {
 
 constexpr uint64_t kMss = 1460;
 
+// One segment as the sender emitted it.
+struct EmittedSegment {
+  int64_t at_ns;
+  uint32_t seq;
+  uint32_t len;
+  bool retransmission;  // below the highest sequence sent so far
+};
+
 // Bidirectional pipe with per-direction delay and scripted or random loss.
+// Records every segment the sender emits, before any drop.
 class TcpPipe {
  public:
   explicit TcpPipe(uint64_t bytes, TcpConfig config = {})
@@ -34,6 +49,7 @@ class TcpPipe {
     if (to_receiver) {
       ++data_sent;
       payload_sent += p.payload_bytes();
+      Record(p);
       if (drop_data && drop_data(p)) {
         return;
       }
@@ -52,6 +68,18 @@ class TcpPipe {
     });
   }
 
+  void Record(const Packet& p) {
+    uint32_t seq = p.tcp().seq;
+    uint32_t len = static_cast<uint32_t>(p.payload_bytes());
+    bool retransmission = len > 0 && sent_any_data_ && Seq32Lt(seq, sent_end_);
+    if (len > 0 && (!sent_any_data_ || Seq32Gt(seq + len, sent_end_))) {
+      sent_end_ = seq + len;
+      sent_any_data_ = true;
+    }
+    emitted.push_back(EmittedSegment{sched.Now().ns(), seq, len,
+                                     retransmission});
+  }
+
   Scheduler sched;
   FiveTuple flow_;
   TcpSender sender;
@@ -62,6 +90,11 @@ class TcpPipe {
   uint64_t data_sent = 0;
   uint64_t payload_sent = 0;
   uint64_t acks_sent = 0;
+  std::vector<EmittedSegment> emitted;
+
+ private:
+  uint32_t sent_end_ = 0;
+  bool sent_any_data_ = false;
 };
 
 TEST(TcpTest, HandshakeEstablishesBothEnds) {
@@ -340,6 +373,215 @@ TEST(TcpTest, WindowOverrideChangesAdvertisedWindow) {
   pipe.sender.Start();
   pipe.sched.RunUntil(SimTime::Seconds(30));
   EXPECT_GE(windows.size(), 2u);
+}
+
+// --- Golden loss-recovery traces ----------------------------------------------
+//
+// Each cell runs one transfer through the pipe under a loss pattern and
+// hashes every segment the sender emits (time, seq, length, retransmission
+// flag) plus its final TcpSenderStats. The hashes pin every recovery
+// decision: which hole is resent and when, how much new data rides along,
+// when an RTO fires. They were captured from the per-MSS scoreboard walk
+// that the merged SACK scoreboard replaced, and hold unedited.
+
+uint64_t Fnv1a(uint64_t hash, uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    hash ^= (value >> (8 * i)) & 0xFF;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+struct RecoveryTrace {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  uint64_t off_grid = 0;  // data segments off the 1 + k*MSS grid
+  uint64_t re_retransmissions = 0;  // resends of an already-resent seq
+  TcpSenderStats stats;
+  bool complete = false;
+};
+
+struct RecoveryCell {
+  const char* name;
+  uint64_t bytes;
+  std::function<void(TcpPipe&)> arrange;
+  uint64_t hash;
+};
+
+RecoveryTrace RunRecoveryCell(const RecoveryCell& cell) {
+  TcpPipe pipe(cell.bytes);
+  cell.arrange(pipe);
+  pipe.sender.Start();
+  pipe.sched.RunUntil(SimTime::Seconds(120));
+  RecoveryTrace trace;
+  std::map<uint32_t, int> resends;
+  for (const EmittedSegment& s : pipe.emitted) {
+    trace.hash = Fnv1a(trace.hash, static_cast<uint64_t>(s.at_ns));
+    trace.hash = Fnv1a(trace.hash, s.seq);
+    trace.hash = Fnv1a(trace.hash, s.len);
+    trace.hash = Fnv1a(trace.hash, s.retransmission ? 1 : 0);
+    if (s.len > 0 && (s.seq - 1) % kMss != 0) {
+      ++trace.off_grid;
+    }
+    if (s.retransmission && ++resends[s.seq] >= 2) {
+      ++trace.re_retransmissions;
+    }
+  }
+  trace.stats = pipe.sender.stats();
+  const TcpSenderStats& st = trace.stats;
+  for (uint64_t v : {st.segments_sent, st.bytes_sent, st.retransmissions,
+                     st.fast_retransmits, st.timeouts, st.dupacks_received,
+                     st.acks_received}) {
+    trace.hash = Fnv1a(trace.hash, v);
+  }
+  trace.complete = pipe.sender.complete();
+  return trace;
+}
+
+// Drops each data segment with probability `p`, from `seed`'s stream.
+std::function<void(TcpPipe&)> RandomDataLoss(double p, uint64_t seed) {
+  return [p, seed](TcpPipe& pipe) {
+    auto rng = std::make_shared<Random>(seed);
+    pipe.drop_data = [p, rng](const Packet& pkt) {
+      return pkt.payload_bytes() > 0 && rng->NextBool(p);
+    };
+  };
+}
+
+// Drops `count` consecutive first transmissions once the sender passes
+// sequence `from`.
+std::function<void(TcpPipe&)> BurstLoss(uint32_t from, int count) {
+  return [from, count](TcpPipe& pipe) {
+    auto remaining = std::make_shared<int>(count);
+    pipe.drop_data = [from, remaining](const Packet& pkt) {
+      if (pkt.payload_bytes() == 0 || pkt.tcp().seq <= from ||
+          *remaining == 0) {
+        return false;
+      }
+      --*remaining;
+      return true;
+    };
+  };
+}
+
+// Drops the first data segment past `from` and its fast retransmission,
+// and delays everything sent in the next RTT by 40 ms instead of 5: the
+// next ACK arrives after the retransmission went stale (2 RTT, at least
+// 20 ms), so recovery re-sends the hole instead of waiting for the RTO.
+std::function<void(TcpPipe&)> StaleRetransmission(uint32_t from) {
+  return [from](TcpPipe& pipe) {
+    auto hole = std::make_shared<uint32_t>(0);
+    auto drops = std::make_shared<int>(0);
+    TcpPipe* p = &pipe;
+    pipe.drop_data = [from, hole, drops, p](const Packet& pkt) {
+      if (pkt.payload_bytes() == 0 || *drops == 2) {
+        return false;
+      }
+      if (*drops == 0 && pkt.tcp().seq > from) {
+        *hole = pkt.tcp().seq;
+        ++*drops;
+        return true;
+      }
+      if (*drops == 1 && pkt.tcp().seq == *hole) {
+        ++*drops;
+        p->delay = SimTime::Millis(40);
+        p->sched.ScheduleIn(SimTime::Millis(10),
+                            [p] { p->delay = SimTime::Millis(5); });
+        return true;
+      }
+      return false;
+    };
+  };
+}
+
+// Drops two data segments past `from`, so recovery starts with SACK blocks
+// on the scoreboard, then blacks out every ACK from 15 ms to 500 ms after
+// the first drop: the RTO fires mid-recovery and clears the scoreboard.
+std::function<void(TcpPipe&)> AckBlackoutInRecovery(uint32_t from) {
+  return [from](TcpPipe& pipe) {
+    auto dropped = std::make_shared<int>(0);
+    auto blackout = std::make_shared<bool>(false);
+    TcpPipe* p = &pipe;
+    pipe.drop_data = [from, dropped, blackout, p](const Packet& pkt) {
+      if (pkt.payload_bytes() == 0 || pkt.tcp().seq <= from) {
+        return false;
+      }
+      ++*dropped;
+      if (*dropped == 1) {
+        SimTime now = p->sched.Now();
+        p->sched.ScheduleAt(now + SimTime::Millis(15),
+                            [blackout] { *blackout = true; });
+        p->sched.ScheduleAt(now + SimTime::Millis(500),
+                            [blackout] { *blackout = false; });
+      }
+      return *dropped == 1 || *dropped == 6;
+    };
+    pipe.drop_ack = [blackout](const Packet&) { return *blackout; };
+  };
+}
+
+std::vector<RecoveryCell> RecoveryCells() {
+  return {
+      {"random1pct-seed1", 2'000'000, RandomDataLoss(0.01, 1),
+       0x6c2a56f58aace042ull},
+      {"random1pct-seed2", 2'000'000, RandomDataLoss(0.01, 2),
+       0xac4f18ebe2ab534eull},
+      {"random1pct-seed3", 2'000'000, RandomDataLoss(0.01, 3),
+       0xcec1c5dd6f1ee85dull},
+      {"random5pct-seed1", 1'000'000, RandomDataLoss(0.05, 1),
+       0x8bfdf429a25ddf9eull},
+      {"random5pct-seed2", 1'000'000, RandomDataLoss(0.05, 2),
+       0x00b8f3d43d6b3d24ull},
+      {"random5pct-seed3", 1'000'000, RandomDataLoss(0.05, 3),
+       0x4da98ca3c2cee324ull},
+      {"burst20", 3'000'000, BurstLoss(300'000, 20), 0x530ce1200e7e5f65ull},
+      {"stale-retransmission", 2'000'000, StaleRetransmission(200'000),
+       0xdf8d83448ca4e5d6ull},
+      {"ack-blackout-rto", 2'000'000, AckBlackoutInRecovery(200'000),
+       0xb91fafdda36f56f0ull},
+  };
+}
+
+const RecoveryCell& CellNamed(const std::vector<RecoveryCell>& cells,
+                              const std::string& name) {
+  for (const RecoveryCell& cell : cells) {
+    if (name == cell.name) {
+      return cell;
+    }
+  }
+  ADD_FAILURE() << "no cell " << name;
+  return cells.front();
+}
+
+TEST(TcpRecoveryPin, TracesMatchGoldenHashes) {
+  bool any_re_retransmission = false;
+  for (const RecoveryCell& cell : RecoveryCells()) {
+    RecoveryTrace trace = RunRecoveryCell(cell);
+    EXPECT_TRUE(trace.complete) << cell.name;
+    // Short segments (cwnd or the window not a multiple of the MSS) put
+    // segment edges off the snd_una + k*MSS grid recovery walks.
+    EXPECT_GT(trace.off_grid, 0u) << cell.name;
+    EXPECT_EQ(trace.hash, cell.hash)
+        << cell.name << ": 0x" << std::hex << trace.hash;
+    any_re_retransmission =
+        any_re_retransmission || trace.re_retransmissions > 0;
+  }
+  EXPECT_TRUE(any_re_retransmission);
+}
+
+TEST(TcpRecoveryPin, StaleRetransmissionIsResentBeforeTheRto) {
+  std::vector<RecoveryCell> cells = RecoveryCells();
+  RecoveryTrace trace =
+      RunRecoveryCell(CellNamed(cells, "stale-retransmission"));
+  EXPECT_EQ(trace.re_retransmissions, 1u);
+  EXPECT_EQ(trace.stats.timeouts, 0u);
+  EXPECT_EQ(trace.stats.fast_retransmits, 1u);
+}
+
+TEST(TcpRecoveryPin, AckBlackoutFiresTheRtoMidRecovery) {
+  std::vector<RecoveryCell> cells = RecoveryCells();
+  RecoveryTrace trace = RunRecoveryCell(CellNamed(cells, "ack-blackout-rto"));
+  EXPECT_GE(trace.stats.timeouts, 1u);
+  EXPECT_EQ(trace.stats.fast_retransmits, 1u);
 }
 
 // Parameterized sweep: transfers of many sizes complete exactly.

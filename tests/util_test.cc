@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "src/sim/random.h"
 #include "src/util/bitio.h"
 #include "src/util/crc.h"
 #include "src/util/md5.h"
@@ -112,6 +114,76 @@ TEST(CrcTest, Crc3DetectsSingleBitFlips) {
   }
   // A CRC-3 detects all single-bit errors.
   EXPECT_EQ(detected, total);
+}
+
+// The compressor and the decompressor call the same Crc3Rohc, so a wrong
+// CRC still matches itself and no end-to-end digest can catch it. The
+// bit-serial form below is the reference: polynomial x^3 + x + 1, init 0x7,
+// each byte MSB-first (RFC 5795 §5.3.1.1).
+uint8_t Crc3BitSerial(std::span<const uint8_t> data) {
+  uint8_t crc = 0x7;
+  for (uint8_t byte : data) {
+    for (int bit = 7; bit >= 0; --bit) {
+      uint8_t in = (byte >> bit) & 1;
+      uint8_t top = (crc >> 2) & 1;
+      crc = static_cast<uint8_t>((crc << 1) & 0x7);
+      if (in ^ top) {
+        crc ^= 0x3;
+      }
+    }
+  }
+  return crc;
+}
+
+TEST(CrcTest, Crc3MatchesBitSerialOnEveryShortInput) {
+  EXPECT_EQ(Crc3Rohc({}), Crc3BitSerial({}));
+  for (int a = 0; a < 256; ++a) {
+    uint8_t one[1] = {static_cast<uint8_t>(a)};
+    ASSERT_EQ(Crc3Rohc(one), Crc3BitSerial(one)) << a;
+    for (int b = 0; b < 256; ++b) {
+      uint8_t two[2] = {static_cast<uint8_t>(a), static_cast<uint8_t>(b)};
+      ASSERT_EQ(Crc3Rohc(two), Crc3BitSerial(two)) << a << "," << b;
+    }
+  }
+}
+
+TEST(CrcTest, Crc3MatchesBitSerialOnRandomAckRecords) {
+  // 19 bytes: the seq/ack/tsval/tsecr/window/MSN record ComputeAckCrc3 hashes.
+  Random rng(19);
+  uint8_t record[19];
+  for (int i = 0; i < 20000; ++i) {
+    for (uint8_t& byte : record) {
+      byte = static_cast<uint8_t>(rng.NextU64());
+    }
+    ASSERT_EQ(Crc3Rohc(record), Crc3BitSerial(record)) << i;
+  }
+}
+
+TEST(CrcTest, Crc3FixedVectors) {
+  // Values of the bit-serial Crc3Rohc the simulator first shipped.
+  std::vector<uint8_t> ramp(19);
+  for (size_t i = 0; i < ramp.size(); ++i) {
+    ramp[i] = static_cast<uint8_t>(0x11 * i + 3);
+  }
+  struct Vector {
+    std::vector<uint8_t> data;
+    uint8_t crc;
+  };
+  const Vector vectors[] = {
+      {{}, 7},
+      {{0x00}, 5},
+      {{0xFF}, 6},
+      {{0x80}, 6},
+      {{0x01}, 6},
+      {{'1', '2', '3', '4', '5', '6', '7', '8', '9'}, 2},
+      {{0xDE, 0xAD, 0xBE, 0xEF}, 3},
+      {ramp, 1},
+      {std::vector<uint8_t>(19, 0x00), 3},
+      {std::vector<uint8_t>(19, 0xFF), 5},
+  };
+  for (const Vector& v : vectors) {
+    EXPECT_EQ(Crc3Rohc(v.data), v.crc) << v.data.size() << " bytes";
+  }
 }
 
 // --- ByteWriter / ByteReader -----------------------------------------------------
