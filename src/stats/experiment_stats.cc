@@ -62,23 +62,29 @@ LatencySummary LatencyRecorder::Summarize(uint8_t ac) const {
   if (out.count == 0) {
     return out;
   }
-  std::vector<int64_t> sorted = samples.delays_ns;
-  std::sort(sorted.begin(), sorted.end());
-  // Nearest-rank percentiles: element at ceil(q * n) - 1.
-  auto quantile = [&](double q) {
-    size_t rank =
-        static_cast<size_t>(std::ceil(q * static_cast<double>(sorted.size())));
-    rank = std::min(std::max<size_t>(rank, 1), sorted.size()) - 1;
-    return static_cast<double>(sorted[rank]) / 1e6;
+  // Nearest-rank percentiles: element at ceil(q * n) - 1, placed by two
+  // selections on a copy. The second starts past the p50 rank, so it
+  // leaves the p50 element where the first put it.
+  size_t n = samples.delays_ns.size();
+  auto rank = [n](double q) {
+    size_t r = static_cast<size_t>(std::ceil(q * static_cast<double>(n)));
+    return std::min(std::max<size_t>(r, 1), n) - 1;
   };
-  out.p50_ms = quantile(0.50);
-  out.p99_ms = quantile(0.99);
+  size_t p50 = rank(0.50);
+  size_t p99 = rank(0.99);
+  std::vector<int64_t> delays = samples.delays_ns;
+  std::nth_element(delays.begin(), delays.begin() + p50, delays.end());
+  if (p99 > p50) {
+    std::nth_element(delays.begin() + p50 + 1, delays.begin() + p99,
+                     delays.end());
+  }
+  out.p50_ms = static_cast<double>(delays[p50]) / 1e6;
+  out.p99_ms = static_cast<double>(delays[p99]) / 1e6;
   int64_t sum = 0;
-  for (int64_t d : sorted) {
+  for (int64_t d : delays) {
     sum += d;
   }
-  out.mean_ms =
-      static_cast<double>(sum) / static_cast<double>(sorted.size()) / 1e6;
+  out.mean_ms = static_cast<double>(sum) / static_cast<double>(n) / 1e6;
   if (samples.jitter_count > 0) {
     out.jitter_ms = static_cast<double>(samples.jitter_sum_ns) /
                     static_cast<double>(samples.jitter_count) / 1e6;

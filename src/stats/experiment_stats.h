@@ -63,7 +63,8 @@ struct DelayChain {
 
 // Collects per-packet delays bucketed by access category. One recorder per
 // scenario run; every UDP sink and TCP receiving handler feeds it.
-// Deterministic: sample order is event order, and Summarize sorts a copy.
+// Deterministic: sample order is event order, and Summarize selects on a
+// copy.
 class LatencyRecorder {
  public:
   // Records `packet` delivered at `now` by the endpoint that owns `chain`:

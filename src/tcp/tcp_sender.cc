@@ -6,6 +6,45 @@
 
 namespace hacksim {
 
+void SackScoreboard::Add(const SackBlock& block, uint32_t snd_una) {
+  if (Seq32Le(block.end, snd_una)) {
+    return;
+  }
+  // The ranges that overlap or touch the block merge with it.
+  auto first = std::partition_point(
+      ranges_.begin(), ranges_.end(),
+      [&](const SackBlock& r) { return Seq32Lt(r.end, block.start); });
+  auto last = first;
+  SackBlock merged = block;
+  while (last != ranges_.end() && Seq32Le(last->start, merged.end)) {
+    if (Seq32Lt(last->start, merged.start)) {
+      merged.start = last->start;
+    }
+    merged.end = Seq32Max(merged.end, last->end);
+    ++last;
+  }
+  if (first == last) {
+    ranges_.insert(first, merged);
+  } else {
+    *first = merged;
+    ranges_.erase(first + 1, last);
+  }
+}
+
+void SackScoreboard::Prune(uint32_t snd_una) {
+  auto kept = std::partition_point(
+      ranges_.begin(), ranges_.end(),
+      [&](const SackBlock& r) { return Seq32Le(r.end, snd_una); });
+  ranges_.erase(ranges_.begin(), kept);
+}
+
+const SackBlock* SackScoreboard::Find(uint32_t seq) const {
+  auto it = std::partition_point(
+      ranges_.begin(), ranges_.end(),
+      [&](const SackBlock& r) { return Seq32Le(r.end, seq); });
+  return it != ranges_.end() && Seq32Le(it->start, seq) ? &*it : nullptr;
+}
+
 TcpSender::TcpSender(Scheduler* scheduler, TcpConfig config, FiveTuple flow,
                      std::function<void(Packet)> send, uint64_t bytes_to_send)
     : scheduler_(scheduler),
@@ -100,15 +139,6 @@ void TcpSender::SendSegment(uint32_t seq, uint32_t len,
   }
 }
 
-bool TcpSender::IsSacked(uint32_t seq, uint32_t len) const {
-  for (const SackBlock& block : sacked_) {
-    if (Seq32Le(block.start, seq) && Seq32Le(seq + len, block.end)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void TcpSender::OnPacket(const Packet& packet) {
   if (!packet.has_tcp()) {
     return;
@@ -159,9 +189,9 @@ void TcpSender::HandleAck(const TcpHeader& tcp) {
       }
     }
   }
-  // Merge-free scoreboard: keep blocks, prune below snd_una_ later.
-  sacked_.insert(sacked_.end(), tcp.sack_blocks.begin(),
-                 tcp.sack_blocks.end());
+  for (const SackBlock& block : tcp.sack_blocks) {
+    sacked_.Add(block, snd_una_);
+  }
   peer_window_ = tcp.window;
 
   uint32_t ack = tcp.ack;
@@ -191,11 +221,7 @@ void TcpSender::HandleAck(const TcpHeader& tcp) {
   snd_una_ = ack;
   dupack_count_ = 0;
   rto_backoff_ = 0;
-  sacked_.erase(std::remove_if(sacked_.begin(), sacked_.end(),
-                               [&](const SackBlock& b) {
-                                 return Seq32Le(b.end, snd_una_);
-                               }),
-                sacked_.end());
+  sacked_.Prune(snd_una_);
 
   if (in_fast_recovery_) {
     // Prune the repaired-hole set below the new left edge.
@@ -264,14 +290,6 @@ void TcpSender::EnterFastRecovery() {
   RecoverySend();
 }
 
-uint32_t TcpSender::HighestSacked() const {
-  uint32_t highest = snd_una_;
-  for (const SackBlock& block : sacked_) {
-    highest = Seq32Max(highest, block.end);
-  }
-  return highest;
-}
-
 namespace {
 // A retransmission older than this is presumed lost (tail-dropped) and may
 // be sent again.
@@ -284,36 +302,37 @@ SimTime ReretransmitThreshold(SimTime srtt) {
 uint32_t TcpSender::ComputePipe() const {
   // RFC 6675 §4: octets outstanding = neither SACKed nor deemed lost, plus
   // retransmitted octets. A hole below the highest SACKed edge that has not
-  // been (recently) retransmitted this episode is deemed lost.
-  uint32_t highest = HighestSacked();
+  // been (recently) retransmitted this episode is deemed lost. Over the
+  // grid ranges that makes: each range from the first grid point at or
+  // above the highest SACKed edge once (none of them can be SACKed), plus
+  // one term per live retransmission: its range once, or twice for an
+  // un-SACKed hole below that edge, which the live retransmission keeps
+  // from being deemed lost.
+  uint32_t highest = sacked_.Highest(snd_una_);
+  uint32_t flight = FlightSize();
+  uint64_t in_flight_from =
+      (static_cast<uint64_t>(highest - snd_una_) + config_.mss - 1) /
+      config_.mss * config_.mss;
+  uint32_t pipe = in_flight_from < flight
+                      ? flight - static_cast<uint32_t>(in_flight_from)
+                      : 0;
   SimTime now = scheduler_->Now();
   SimTime stale_after = ReretransmitThreshold(srtt_);
-  uint32_t pipe = 0;
-  for (uint32_t seq = snd_una_; Seq32Lt(seq, snd_nxt_); seq += config_.mss) {
-    uint32_t len = static_cast<uint32_t>(
-        std::min<uint64_t>(config_.mss, snd_nxt_ - seq));
-    auto retx = recovery_retx_.find(seq);
-    bool retransmitted_live =
-        retx != recovery_retx_.end() && now - retx->second < stale_after;
-    if (IsSacked(seq, len)) {
-      if (retransmitted_live) {
-        pipe += len;  // the retransmission itself is still in flight
-      }
-      continue;
+  for (const auto& [seq, sent_at] : recovery_retx_) {
+    uint32_t offset = seq - snd_una_;
+    if (offset >= flight || offset % config_.mss != 0 ||
+        now - sent_at >= stale_after) {
+      continue;  // off the grid, or presumed lost
     }
-    bool lost = Seq32Lt(seq, highest) && !retransmitted_live;
-    if (!lost) {
-      pipe += len;
-    }
-    if (retransmitted_live) {
-      pipe += len;
-    }
+    uint32_t len = std::min(config_.mss, snd_nxt_ - seq);
+    bool repairs_hole = Seq32Lt(seq, highest) && !sacked_.Covers(seq, len);
+    pipe += repairs_hole ? 2 * len : len;
   }
   return pipe;
 }
 
 void TcpSender::RecoverySend() {
-  uint32_t highest = HighestSacked();
+  uint32_t highest = sacked_.Highest(snd_una_);
   SimTime now = scheduler_->Now();
   SimTime stale_after = ReretransmitThreshold(srtt_);
   while (true) {
@@ -322,18 +341,22 @@ void TcpSender::RecoverySend() {
       return;
     }
     // Priority 1: lowest hole below the highest SACKed edge that is not
-    // covered by a live retransmission.
+    // covered by a live retransmission. The walk jumps over each SACKed
+    // block to the first grid range that ends past it.
     bool sent = false;
-    for (uint32_t seq = snd_una_; Seq32Lt(seq, highest);
-         seq += config_.mss) {
-      uint32_t len = static_cast<uint32_t>(
-          std::min<uint64_t>(config_.mss, snd_nxt_ - seq));
-      if (len == 0 || IsSacked(seq, len)) {
+    uint32_t seq = snd_una_;
+    while (Seq32Lt(seq, highest)) {
+      uint32_t len = std::min(config_.mss, snd_nxt_ - seq);
+      const SackBlock* block = sacked_.Find(seq);
+      if (block != nullptr && Seq32Le(seq + len, block->end)) {
+        seq += std::max(1u, (block->end - seq) / config_.mss) * config_.mss;
         continue;
       }
       auto retx = recovery_retx_.find(seq);
-      if (retx != recovery_retx_.end() && now - retx->second < stale_after) {
-        continue;  // retransmission still presumed in flight
+      if (len == 0 ||
+          (retx != recovery_retx_.end() && now - retx->second < stale_after)) {
+        seq += config_.mss;  // retransmission still presumed in flight
+        continue;
       }
       recovery_retx_[seq] = now;
       SendSegment(seq, len, /*is_retransmission=*/true);
@@ -374,7 +397,7 @@ void TcpSender::HandleRtoExpiry() {
   cwnd_ = config_.mss;
   in_fast_recovery_ = false;
   dupack_count_ = 0;
-  sacked_.clear();  // RFC 2018: SACK info may be discarded on timeout
+  sacked_.Clear();  // RFC 2018: SACK info may be discarded on timeout
   rto_backoff_ = std::min(rto_backoff_ + 1, 10);
   uint32_t len = static_cast<uint32_t>(
       std::min<uint64_t>(config_.mss, snd_nxt_ - snd_una_));

@@ -33,6 +33,41 @@ struct TcpSenderStats {
                          const TcpSenderStats&) = default;
 };
 
+// The SACK scoreboard: the union of every block the receiver reported since
+// the last RTO, as disjoint ranges in sequence order. A cumulative ACK
+// drops the ranges it covers.
+//
+// Recovery asks one question of it: does a reported block contain the
+// range [seq, seq + len)? The union gives the same answer as the blocks
+// themselves. The receiver reports whole out-of-order runs and merges runs
+// that touch, and a run only grows until the cumulative ACK absorbs it. So
+// any two blocks the sender has stored are either nested or separated by a
+// gap, and each union range is one reported block.
+class SackScoreboard {
+ public:
+  // Merges a reported block. Blocks at or below `snd_una` carry nothing;
+  // the receiver never reports an empty one.
+  void Add(const SackBlock& block, uint32_t snd_una);
+  // Drops the ranges a cumulative ACK up to `snd_una` covers.
+  void Prune(uint32_t snd_una);
+  void Clear() { ranges_.clear(); }
+
+  // The range containing `seq`, or nullptr.
+  const SackBlock* Find(uint32_t seq) const;
+  bool Covers(uint32_t seq, uint32_t len) const {
+    const SackBlock* range = Find(seq);
+    return range != nullptr && Seq32Le(seq + len, range->end);
+  }
+  // The highest SACKed edge, or `snd_una` when nothing above it is SACKed.
+  uint32_t Highest(uint32_t snd_una) const {
+    return ranges_.empty() ? snd_una : Seq32Max(snd_una, ranges_.back().end);
+  }
+  const std::vector<SackBlock>& ranges() const { return ranges_; }
+
+ private:
+  std::vector<SackBlock> ranges_;
+};
+
 class TcpSender {
  public:
   // `flow` is the data direction (src = this sender). `send` hands a packet
@@ -55,6 +90,7 @@ class TcpSender {
   uint32_t cwnd_bytes() const { return cwnd_; }
   SimTime srtt() const { return srtt_; }
   const TcpSenderStats& stats() const { return stats_; }
+  const SackScoreboard& scoreboard() const { return sacked_; }
 
  private:
   enum class State { kClosed, kSynSent, kEstablished };
@@ -68,16 +104,20 @@ class TcpSender {
   // lowest unrepaired hole below the highest SACKed sequence, then send new
   // data. Keeps retransmissions ack-clocked so a drop-tail bottleneck queue
   // is never flooded during recovery.
+  //
+  // Both judge the flight in grid ranges [seq, seq + min(MSS, snd_nxt -
+  // seq)) at seq = snd_una + k*MSS. Segment edges need not lie on that
+  // grid (window-limited sends are short), so a range can straddle a SACKed
+  // edge; only a range inside one SACKed block counts as SACKed. Each costs
+  // O(SACK blocks + live retransmissions), not O(flight / MSS).
   void RecoverySend();
   uint32_t ComputePipe() const;
-  uint32_t HighestSacked() const;
   void HandleRtoExpiry();
   void RestartRtoTimer();
   void StopRtoTimer();
   void UpdateRtt(SimTime measured);
   uint32_t FlightSize() const { return snd_nxt_ - snd_una_; }
   uint32_t EffectiveWindow() const;
-  bool IsSacked(uint32_t seq, uint32_t len) const;
   uint64_t RemainingAppBytes() const;
 
   Scheduler* scheduler_;
@@ -105,12 +145,15 @@ class TcpSender {
   bool in_fast_recovery_ = false;
   uint32_t recover_ = 0;
 
-  // SACK scoreboard: blocks reported by the receiver.
-  std::vector<SackBlock> sacked_;
+  // The union of the reported SACK blocks, exact because any two stored
+  // blocks are nested or apart (see SackScoreboard).
+  SackScoreboard sacked_;
   // Holes retransmitted during the current recovery episode: left edge ->
   // time of (re)transmission. A retransmission unacknowledged for ~2 RTTs
   // is presumed lost and becomes eligible again (RACK-style), which keeps
   // recovery alive when the bottleneck queue tail-drops a retransmission.
+  // Only keys on the current grid count: a partial ACK that moves snd_una
+  // off the grid leaves the older keys unmatched until they are pruned.
   std::map<uint32_t, SimTime> recovery_retx_;
 
   // RTT estimation.

@@ -10,8 +10,9 @@
 
 namespace hacksim {
 
-// ROHC CRC-3: polynomial x^3 + x + 1 (0x3), init 0x7 (RFC 5795).
-// Returns a value in [0, 7].
+// ROHC CRC-3: polynomial x^3 + x + 1 (0x3), init 0x7, each byte MSB-first
+// (RFC 5795). Returns a value in [0, 7]. One lookup in a 256-entry table,
+// built at compile time, per byte.
 uint8_t Crc3Rohc(std::span<const uint8_t> data);
 
 }  // namespace hacksim

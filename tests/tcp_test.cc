@@ -584,6 +584,108 @@ TEST(TcpRecoveryPin, AckBlackoutFiresTheRtoMidRecovery) {
   EXPECT_EQ(trace.stats.fast_retransmits, 1u);
 }
 
+// --- SACK scoreboard --------------------------------------------------------------
+
+std::vector<SackBlock> Ranges(const SackScoreboard& board) {
+  return board.ranges();
+}
+
+TEST(SackScoreboardTest, MergesDuplicateNestedDisjointAndUnorderedBlocks) {
+  SackScoreboard board;
+  board.Add({3000, 4000}, 1000);
+  board.Add({3000, 4000}, 1000);  // duplicate
+  EXPECT_EQ(Ranges(board), (std::vector<SackBlock>{{3000, 4000}}));
+  board.Add({3000, 5000}, 1000);  // the same run, grown
+  board.Add({3500, 4500}, 1000);  // an older, nested report
+  EXPECT_EQ(Ranges(board), (std::vector<SackBlock>{{3000, 5000}}));
+  // Most recent first, the rest in any order.
+  board.Add({9000, 9500}, 1000);
+  board.Add({6000, 7000}, 1000);
+  board.Add({2000, 2500}, 1000);
+  EXPECT_EQ(Ranges(board),
+            (std::vector<SackBlock>{
+                {2000, 2500}, {3000, 5000}, {6000, 7000}, {9000, 9500}}));
+  // Runs that merged at the receiver merge here.
+  board.Add({2000, 7000}, 1000);
+  EXPECT_EQ(Ranges(board),
+            (std::vector<SackBlock>{{2000, 7000}, {9000, 9500}}));
+  // A block the cumulative ACK already covers carries nothing.
+  board.Add({200, 900}, 1000);
+  EXPECT_EQ(board.ranges().size(), 2u);
+  EXPECT_EQ(board.Highest(1000), 9500u);
+}
+
+TEST(SackScoreboardTest, CoversOnlyRangesInsideOneBlock) {
+  SackScoreboard board;
+  EXPECT_EQ(board.Highest(1000), 1000u);
+  board.Add({2000, 3000}, 1000);
+  board.Add({3500, 5000}, 1000);
+  EXPECT_TRUE(board.Covers(2000, 1000));
+  EXPECT_TRUE(board.Covers(3600, 1400));
+  EXPECT_FALSE(board.Covers(1500, 1000));  // starts in the hole below
+  EXPECT_FALSE(board.Covers(2500, 1000));  // straddles the right edge
+  EXPECT_FALSE(board.Covers(3000, 200));   // inside the gap
+  EXPECT_EQ(board.Find(3000), nullptr);
+  ASSERT_NE(board.Find(4999), nullptr);
+  EXPECT_EQ(board.Find(4999)->start, 3500u);
+  EXPECT_EQ(board.Find(5000), nullptr);
+}
+
+TEST(SackScoreboardTest, PrunesAtTheCumulativeAck) {
+  SackScoreboard board;
+  board.Add({2000, 3000}, 1000);
+  board.Add({4000, 5000}, 1000);
+  board.Prune(3000);
+  EXPECT_EQ(Ranges(board), (std::vector<SackBlock>{{4000, 5000}}));
+  board.Prune(5000);
+  EXPECT_TRUE(board.ranges().empty());
+  EXPECT_EQ(board.Highest(5000), 5000u);
+}
+
+// A sender fed hand-written ACKs: its scoreboard prunes at each cumulative
+// ACK and is cleared when the RTO fires.
+TEST(SackScoreboardTest, SenderPrunesAtCumulativeAckAndClearsAtRto) {
+  Scheduler sched;
+  FiveTuple flow{Ipv4Address::FromOctets(10, 0, 0, 1),
+                 Ipv4Address::FromOctets(10, 0, 2, 1), 5000, 6000,
+                 kIpProtoTcp};
+  uint64_t sent = 0;
+  TcpSender sender(&sched, TcpConfig{}, flow, [&](Packet) { ++sent; }, 0);
+  auto ack = [&](bool syn, uint32_t cumulative, std::vector<SackBlock> sacks) {
+    TcpHeader tcp;
+    tcp.src_port = flow.dst_port;
+    tcp.dst_port = flow.src_port;
+    tcp.ack = cumulative;
+    tcp.flag_ack = true;
+    tcp.flag_syn = syn;
+    tcp.window = 65535;
+    if (syn) {
+      tcp.window_scale = kTcpWindowScale;
+    }
+    for (const SackBlock& b : sacks) {
+      tcp.sack_blocks.push_back(b);
+    }
+    sender.OnPacket(Packet::MakeTcp(flow.dst_ip, flow.src_ip, tcp, 0));
+  };
+  sender.Start();
+  ack(/*syn=*/true, 1, {});
+  ASSERT_TRUE(sender.established());
+  ASSERT_EQ(sent, 11u);  // the SYN, then an initial window of ten segments
+  uint32_t mss = 1460;
+  ack(false, 1, {{1 + 2 * mss, 1 + 3 * mss}});
+  ack(false, 1, {{1 + 5 * mss, 1 + 6 * mss}, {1 + 2 * mss, 1 + 4 * mss}});
+  EXPECT_EQ(Ranges(sender.scoreboard()),
+            (std::vector<SackBlock>{{1 + 2 * mss, 1 + 4 * mss},
+                                    {1 + 5 * mss, 1 + 6 * mss}}));
+  // The first hole repaired: the cumulative ACK swallows the first block.
+  ack(false, 1 + 4 * mss, {{1 + 5 * mss, 1 + 7 * mss}});
+  EXPECT_EQ(Ranges(sender.scoreboard()),
+            (std::vector<SackBlock>{{1 + 5 * mss, 1 + 7 * mss}}));
+  sched.RunUntil(SimTime::Seconds(5));
+  EXPECT_GE(sender.stats().timeouts, 1u);
+  EXPECT_TRUE(sender.scoreboard().ranges().empty());
+}
+
 // Parameterized sweep: transfers of many sizes complete exactly.
 class TcpSizeSweep : public ::testing::TestWithParam<uint64_t> {};
 

@@ -4,10 +4,15 @@
     python3 tools/pcprof.py record --preload build/libpcsample.so \\
         --out /tmp/prof [report options] -- build/hacksim_run --seconds=2
     python3 tools/pcprof.py report /tmp/prof [--top 25] [--ppdus N] [--check]
+    python3 tools/pcprof.py report /tmp/after --ppdus N \
+        --baseline /tmp/before --baseline-ppdus M
 
 `record` runs the command with the PC sampler (tools/pcsample.cc) preloaded,
 then prints the report of its samples. `report` reads OUT.pcs and OUT.maps
-from an earlier run.
+from an earlier run. With --baseline, each row and each top function shows
+the baseline's share, this profile's share and the change in us/PPDU (in
+share points when either PPDU count is missing); the top functions are the
+largest in either profile, so a function that vanished is still listed.
 
 Each sample's PC is mapped to a file through the saved /proc/self/maps and
 to a function with `nm`. A function of the profiled executable is charged
@@ -239,48 +244,108 @@ def attribute(prefix, layers):
     return header, len(pcs), counts
 
 
+class Profile:
+    """One recording's samples per (row, function) and per row."""
+
+    def __init__(self, prefix, layers, ppdus):
+        self.header, self.total, self.counts = attribute(prefix, layers)
+        self.period_us = float(self.header.get("period_us", "100"))
+        self.ppdus = ppdus
+        self.rows = collections.Counter()
+        for (row, _), n in self.counts.items():
+            self.rows[row] += n
+        self.accounted = sum(self.rows.values())
+        self.table = collections.Counter(self.rows, total=self.accounted)
+
+    def share(self, n):
+        return 100.0 * n / self.total if self.total else 0.0
+
+    def us_per_ppdu(self, n):
+        return n * self.period_us / self.ppdus
+
+    def describe(self):
+        return "%d samples at %g us (%.2f s sampled), %s dropped; %s" % (
+            self.total, self.period_us, self.total * self.period_us / 1e6,
+            self.header.get("dropped", "?"), self.header.get("exe", "?"))
+
+
 def report(args):
     layers = parse_layer_map(os.path.join(ROOT, "docs", "architecture.md"))
-    header, total, counts = attribute(args.out, layers)
-    period_us = float(header.get("period_us", "100"))
-    rows = collections.Counter()
-    for (row, _), n in counts.items():
-        rows[row] += n
+    this = Profile(args.out, layers, args.ppdus)
+    base = Profile(args.baseline, layers, args.baseline_ppdus) \
+        if args.baseline else None
     layer_names = [name for name, _ in layers]
-    libraries = sorted((r for r in rows if r not in layer_names and
-                        r != OTHER), key=lambda r: -rows[r])
+    seen_rows = set(this.rows) | (set(base.rows) if base else set())
+    libraries = sorted((r for r in seen_rows if r not in layer_names and
+                        r != OTHER), key=lambda r: -this.rows[r])
+    per_ppdu = this.ppdus and (base is None or base.ppdus)
 
-    def line(label, n):
-        share = 100.0 * n / total if total else 0.0
-        cols = "%-26s %9d %6.1f%%" % (label, n, share)
-        if args.ppdus:
-            cols += " %10.2f" % (n * period_us / args.ppdus)
+    def table_of(p):
+        return p.table
+
+    def counts_of(p):
+        return p.counts
+
+    def delta(key, counter_of):
+        """this - base for one row or function: us/PPDU or share points."""
+        n, b = counter_of(this)[key], counter_of(base)[key]
+        if per_ppdu:
+            return this.us_per_ppdu(n) - base.us_per_ppdu(b)
+        return this.share(n) - base.share(b)
+
+    def line(label, key, counter_of):
+        n = counter_of(this)[key]
+        if base:
+            return "%-26s %6.1f%% %6.1f%% %+10.2f" % (
+                label, base.share(counter_of(base)[key]), this.share(n),
+                delta(key, counter_of))
+        cols = "%-26s %9d %6.1f%%" % (label, n, this.share(n))
+        if per_ppdu:
+            cols += " %10.2f" % this.us_per_ppdu(n)
         return cols
 
-    print("pcprof: %d samples at %g us (%.2f s sampled), %s dropped; %s"
-          % (total, period_us, total * period_us / 1e6,
-             header.get("dropped", "?"), header.get("exe", "?")))
-    print("%-26s %9s %7s%s" % ("row", "samples", "share",
-                               " %10s" % "us/PPDU" if args.ppdus else ""))
-    for name in layer_names:
-        print(line(name, rows[name]))
-    for lib in libraries:
-        print(line(lib, rows[lib]))
-    print(line(OTHER, rows[OTHER]))
-    accounted = sum(rows.values())
-    print(line("total", accounted))
+    print("pcprof: " + this.describe())
+    if base:
+        print("pcprof: baseline " + base.describe())
+        print("%-26s %7s %7s %10s" % ("row", "base", "this",
+                                      "d us/PPDU" if per_ppdu else "d share"))
+    else:
+        print("%-26s %9s %7s%s" % ("row", "samples", "share",
+                                   " %10s" % "us/PPDU" if per_ppdu else ""))
+    row_names = layer_names + libraries + [OTHER, "total"]
+    for name in row_names:
+        print(line(name, name, table_of))
 
-    top = counts.most_common(args.top)
-    names = demangle([name for (_, name), _ in top])
+    if base:
+        keys = set(this.counts) | set(base.counts)
+        top = sorted(keys, key=lambda k: -max(this.counts[k],
+                                               base.counts[k]))[:args.top]
+    else:
+        top = [key for key, _ in this.counts.most_common(args.top)]
+    names = demangle([name for _, name in top])
     print("\ntop %d functions:" % len(top))
-    for (row, name), n in top:
-        print("%6.2f%% %8d  %-22s %s" % (100.0 * n / total, n, row,
-                                          names.get(name, name)[:110]))
+    for key in top:
+        row, name = key
+        label = names.get(name, name)[:110]
+        n = this.counts[key]
+        if base:
+            print("%6.2f%% %6.2f%% %+10.2f  %-22s %s" % (
+                base.share(base.counts[key]), this.share(n),
+                delta(key, counts_of), row, label))
+        else:
+            print("%6.2f%% %8d  %-22s %s" % (this.share(n), n, row, label))
+    if base:
+        changes = [abs(delta(k, counts_of)) for k in keys] + \
+            [abs(delta(r, table_of)) for r in row_names]
+        print("\npcprof: largest change %.2f %s" % (
+            max(changes), "us/PPDU" if per_ppdu else "share points"))
     if args.check:
-        in_layers = sum(rows[name] for name in layer_names)
-        if total == 0 or accounted != total or in_layers == 0:
+        in_layers = sum(this.rows[name] for name in layer_names)
+        if this.total == 0 or this.accounted != this.total or \
+                in_layers == 0:
             print("pcprof: check failed: %d samples, %d accounted, %d in "
-                  "layers" % (total, accounted, in_layers), file=sys.stderr)
+                  "layers" % (this.total, this.accounted, in_layers),
+                  file=sys.stderr)
             return 1
     return 0
 
@@ -321,6 +386,10 @@ def main(argv):
         p.add_argument("--top", type=int, default=25)
         p.add_argument("--ppdus", type=float,
                        help="PPDUs the run simulated: adds a us/PPDU column")
+        p.add_argument("--baseline",
+                       help="prefix of an earlier recording to compare with")
+        p.add_argument("--baseline-ppdus", type=float,
+                       help="PPDUs the baseline run simulated")
         p.add_argument("--check", action="store_true")
     rec.add_argument("command", nargs=argparse.REMAINDER)
     args = ap.parse_args(argv)

@@ -13,6 +13,11 @@
 #   build_dir  defaults to ./build (must be configured with -DHACKSIM_BENCH=ON)
 #   out_dir    defaults to the repo root
 # Honours HACKSIM_QUICK=1 for a fast smoke pass (CI).
+# BENCH_micro.json (its context) and BENCH_fig10.txt record the 1-minute
+# load average before and after their bench. Writing into the repository
+# root, where the committed artifacts live, is refused when the load
+# exceeds 1.0 at the start (hackbench's busy-machine threshold): more than
+# one other core's worth of work skews every number.
 # Each bench runs under a hard timeout (HACKSIM_BENCH_TIMEOUT, seconds;
 # default 1800, 600 in quick mode) so a wedged simulation fails the job
 # with a named culprit instead of hanging it until the CI runner is killed.
@@ -25,6 +30,17 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-$repo_root/build}"
 out_dir="${2:-$repo_root}"
 mkdir -p "$out_dir"
+
+max_load=1.0
+load_avg() { python3 -c 'import os; print("%.2f" % os.getloadavg()[0])'; }
+start_load="$(load_avg)"
+if [[ "$(cd "$out_dir" && pwd)" == "$repo_root" ]] &&
+   python3 -c "import sys; sys.exit(not $start_load > $max_load)"; then
+  echo "error: the 1-minute load average is $start_load, above $max_load;" \
+       "committed artifacts need a quiet machine. Wait, or write elsewhere:" \
+       "$0 $build_dir /tmp/bench-out" >&2
+  exit 1
+fi
 
 if [[ ! -x "$build_dir/bench_micro" ]]; then
   echo "error: $build_dir/bench_micro not found." >&2
@@ -83,12 +99,24 @@ run_with_timeout() {
 }
 
 echo "== bench_micro (repetitions=$repetitions, timeout=${bench_timeout}s) =="
+micro_load_before="$(load_avg)"
 run_with_timeout bench_micro "$build_dir/bench_micro" \
   --benchmark_repetitions="$repetitions" \
   --benchmark_report_aggregates_only=true \
   --benchmark_format=json \
   --benchmark_out="$out_dir/BENCH_micro.json" \
   --benchmark_out_format=json
+python3 - "$out_dir/BENCH_micro.json" "$micro_load_before" "$(load_avg)" <<'PY'
+import json, sys
+path, before, after = sys.argv[1], float(sys.argv[2]), float(sys.argv[3])
+with open(path) as f:
+    data = json.load(f)
+data["context"]["load_avg_1m_before"] = before
+data["context"]["load_avg_1m_after"] = after
+with open(path, "w") as f:
+    json.dump(data, f, indent=2)
+    f.write("\n")
+PY
 
 if grep -q '"library_build_type": "debug"' "$out_dir/BENCH_micro.json"; then
   echo "WARNING: the google-benchmark *library* on this machine is a debug" >&2
@@ -99,12 +127,17 @@ fi
 
 echo
 echo "== bench_fig10_goodput =="
+fig10_load_before="$(load_avg)"
 start_ns=$(date +%s%N)
 run_with_timeout bench_fig10_goodput "$build_dir/bench_fig10_goodput" \
   | tee "$out_dir/BENCH_fig10.txt"
 end_ns=$(date +%s%N)
 wall_ms=$(( (end_ns - start_ns) / 1000000 ))
-echo "wall_clock_ms=$wall_ms" | tee -a "$out_dir/BENCH_fig10.txt"
+{
+  echo "wall_clock_ms=$wall_ms"
+  echo "load_avg_1m_before=$fig10_load_before"
+  echo "load_avg_1m_after=$(load_avg)"
+} | tee -a "$out_dir/BENCH_fig10.txt"
 
 echo
 echo "== bench_scale (timeout=${bench_timeout}s) =="
