@@ -586,28 +586,24 @@ TEST(TcpRecoveryPin, AckBlackoutFiresTheRtoMidRecovery) {
 
 // --- SACK scoreboard --------------------------------------------------------------
 
-std::vector<SackBlock> Ranges(const SackScoreboard& board) {
-  return board.ranges();
-}
-
 TEST(SackScoreboardTest, MergesDuplicateNestedDisjointAndUnorderedBlocks) {
   SackScoreboard board;
   board.Add({3000, 4000}, 1000);
   board.Add({3000, 4000}, 1000);  // duplicate
-  EXPECT_EQ(Ranges(board), (std::vector<SackBlock>{{3000, 4000}}));
+  EXPECT_EQ(board.ranges(), (std::vector<SackBlock>{{3000, 4000}}));
   board.Add({3000, 5000}, 1000);  // the same run, grown
   board.Add({3500, 4500}, 1000);  // an older, nested report
-  EXPECT_EQ(Ranges(board), (std::vector<SackBlock>{{3000, 5000}}));
+  EXPECT_EQ(board.ranges(), (std::vector<SackBlock>{{3000, 5000}}));
   // Most recent first, the rest in any order.
   board.Add({9000, 9500}, 1000);
   board.Add({6000, 7000}, 1000);
   board.Add({2000, 2500}, 1000);
-  EXPECT_EQ(Ranges(board),
+  EXPECT_EQ(board.ranges(),
             (std::vector<SackBlock>{
                 {2000, 2500}, {3000, 5000}, {6000, 7000}, {9000, 9500}}));
   // Runs that merged at the receiver merge here.
   board.Add({2000, 7000}, 1000);
-  EXPECT_EQ(Ranges(board),
+  EXPECT_EQ(board.ranges(),
             (std::vector<SackBlock>{{2000, 7000}, {9000, 9500}}));
   // A block the cumulative ACK already covers carries nothing.
   board.Add({200, 900}, 1000);
@@ -636,7 +632,7 @@ TEST(SackScoreboardTest, PrunesAtTheCumulativeAck) {
   board.Add({2000, 3000}, 1000);
   board.Add({4000, 5000}, 1000);
   board.Prune(3000);
-  EXPECT_EQ(Ranges(board), (std::vector<SackBlock>{{4000, 5000}}));
+  EXPECT_EQ(board.ranges(), (std::vector<SackBlock>{{4000, 5000}}));
   board.Prune(5000);
   EXPECT_TRUE(board.ranges().empty());
   EXPECT_EQ(board.Highest(5000), 5000u);
@@ -674,12 +670,12 @@ TEST(SackScoreboardTest, SenderPrunesAtCumulativeAckAndClearsAtRto) {
   uint32_t mss = 1460;
   ack(false, 1, {{1 + 2 * mss, 1 + 3 * mss}});
   ack(false, 1, {{1 + 5 * mss, 1 + 6 * mss}, {1 + 2 * mss, 1 + 4 * mss}});
-  EXPECT_EQ(Ranges(sender.scoreboard()),
+  EXPECT_EQ(sender.scoreboard().ranges(),
             (std::vector<SackBlock>{{1 + 2 * mss, 1 + 4 * mss},
                                     {1 + 5 * mss, 1 + 6 * mss}}));
   // The first hole repaired: the cumulative ACK swallows the first block.
   ack(false, 1 + 4 * mss, {{1 + 5 * mss, 1 + 7 * mss}});
-  EXPECT_EQ(Ranges(sender.scoreboard()),
+  EXPECT_EQ(sender.scoreboard().ranges(),
             (std::vector<SackBlock>{{1 + 5 * mss, 1 + 7 * mss}}));
   sched.RunUntil(SimTime::Seconds(5));
   EXPECT_GE(sender.stats().timeouts, 1u);
