@@ -13,7 +13,8 @@
 // 4. Legacy bit-identity pins: with the propagation layer compiled in but
 //    the fixed-loss default selected, one small cell per flow-wiring branch
 //    must not move at all — the same invariant the committed BENCH
-//    artifacts carry, but enforced inside the default test suite.
+//    artifacts carry, but enforced inside the default test suite. The
+//    geometric pins do the same for the log-distance channel's paths.
 // 5. Hidden-terminal behaviour: plain DCF loses most of its goodput to
 //    hidden collisions on the two-cluster topology; RTS/CTS recovers it.
 #include <gtest/gtest.h>
@@ -136,7 +137,7 @@ TEST(BatchedDeliveryEquivalenceTest, HiddenTwoClusterRtsProtected) {
 // placement spreads the receivers over the most distinct delays per PPDU,
 // and the log-distance defaults prune far pairs and let near frames
 // capture through overlap.
-TEST(BatchedDeliveryEquivalenceTest, UniformDiskRtsRateAdapt) {
+ScenarioConfig UniformDiskConfig() {
   ScenarioConfig c = BaseConfig(40, TransportProto::kUdp, HackVariant::kOff);
   c.upload = true;
   c.topology = Topology::kUniformDisk;
@@ -145,8 +146,12 @@ TEST(BatchedDeliveryEquivalenceTest, UniformDiskRtsRateAdapt) {
   c.rate_adaptation = true;
   c.duration = SimTime::Millis(300);
   c.start_stagger = SimTime::Micros(500);
+  return c;
+}
+
+TEST(BatchedDeliveryEquivalenceTest, UniformDiskRtsRateAdapt) {
   ScenarioResult r;
-  ExpectModesEquivalent(c, &r);
+  ExpectModesEquivalent(UniformDiskConfig(), &r);
   EXPECT_GT(r.airtime.out_of_range, 0u);
   uint64_t captures = 0;
   for (const ClientResult& client : r.clients) {
@@ -309,6 +314,69 @@ TEST(LegacyBitIdentityPin, FaultMachineryOffStillHitsTheGoldenValues) {
   EXPECT_EQ(r.watchdog.trips, 0u);
   EXPECT_GT(r.watchdog.checks, 0u);
 }
+
+// One log-distance cell per geometric path: the uniform disk with RTS and
+// rate adaptation, the two-cluster hidden pair without and with RTS, and a
+// disk whose SnrLossModel draws from each receiver's distance. The
+// equivalence tests above compare two runs of the same code, so a change
+// that moves receive power, pruning or the capture verdict in both
+// delivery modes at once passes them; these values were captured before
+// the channel cached per-pair power and judged capture in the linear
+// domain, and must not move.
+struct GeometricPin {
+  const char* name;
+  ScenarioConfig (*config)();
+  uint64_t ppdus;
+  uint64_t events;
+  double goodput_mbps;
+  uint64_t out_of_range;
+  uint64_t captures;        // AP plus every client
+  uint64_t overlap_losses;  // AP plus every client
+};
+
+const GeometricPin kGeometricPins[] = {
+    {"UniformDiskRtsRateAdapt", UniformDiskConfig, 1583, 102108,
+     94.090240000000037, 2728, 981, 13728},
+    {"HiddenTwoClusterUdpUpload", [] { return HiddenConfig(6, 0); }, 564,
+     8062, 6.3982933333333332, 1326, 8, 343},
+    {"HiddenTwoClusterRtsProtected", [] { return HiddenConfig(6, 500); },
+     1954, 22046, 75.444906666666682, 3213, 22, 241},
+    {"UniformDiskSnrLoss",
+     [] {
+       ScenarioConfig c = UniformDiskConfig();
+       c.n_clients = 20;
+       c.snr = SnrLossModel::Params{};
+       return c;
+     },
+     653, 29318, 28.458666666666669, 717, 138, 2252},
+};
+
+class GeometricPinTest : public ::testing::TestWithParam<GeometricPin> {};
+
+TEST_P(GeometricPinTest, OutputsPinned) {
+  const GeometricPin& pin = GetParam();
+  ScenarioResult r = RunScenario(pin.config());
+  uint64_t captures = r.ap_phy.captures;
+  uint64_t overlap_losses = r.ap_phy.overlap_losses;
+  for (const ClientResult& client : r.clients) {
+    captures += client.phy.captures;
+    overlap_losses += client.phy.overlap_losses;
+  }
+  EXPECT_EQ(r.airtime.ppdus, pin.ppdus);
+  EXPECT_EQ(r.events_executed, pin.events);
+  EXPECT_EQ(r.aggregate_goodput_mbps, pin.goodput_mbps);
+  EXPECT_EQ(r.airtime.out_of_range, pin.out_of_range);
+  EXPECT_EQ(captures, pin.captures);
+  EXPECT_EQ(overlap_losses, pin.overlap_losses);
+  EXPECT_EQ(r.crc_failures, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GeometricBitIdentityPin, GeometricPinTest,
+    ::testing::ValuesIn(kGeometricPins),
+    [](const ::testing::TestParamInfo<GeometricPin>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(HiddenTerminalScenarioTest, RtsRecoversGoodputLostToHiddenCollisions) {
   ScenarioResult plain = RunScenario(HiddenConfig(10, /*rts_threshold=*/0));
