@@ -209,6 +209,31 @@ void BM_PhyOverlap(benchmark::State& state) {
 }
 BENCHMARK(BM_PhyOverlap)->Arg(1)->Arg(8)->Arg(32);
 
+// The log-distance form: k senders and 32 listening radios, all
+// co-located, on the geometric channel. Every listener holds k frames in
+// flight; each arrival adds its power to the others' interference as it
+// starts, so every listener arrival ends in a capture verdict (equal
+// powers: all lose). The senders' arrivals from each other die half
+// duplex without one. ns_per_arrival divides by all k * (k + 31)
+// arrivals, so it counts the SINR accumulation, whose walk grows with k,
+// and one verdict per listener arrival.
+void BM_PhyOverlapLogDistance(benchmark::State& state) {
+  const auto k = static_cast<size_t>(state.range(0));
+  constexpr size_t kListeners = 32;
+  StubCell cell(std::vector<Position>(k + kListeners, Position{1.0, 1.0}),
+                /*log_distance=*/true);
+  const Ppdu ppdu = DataPpdu();
+  for (auto _ : state) {
+    for (size_t s = 0; s < k; ++s) {
+      benchmark::DoNotOptimize(cell.phys[s]->Send(ppdu));
+    }
+    cell.sched.Run();
+  }
+  state.counters["ns_per_arrival"] =
+      TimePer(static_cast<double>(k * (k + kListeners - 1)));
+}
+BENCHMARK(BM_PhyOverlapLogDistance)->Arg(2)->Arg(8)->Arg(32);
+
 // One PPDU to n receivers, then every delivery event: the channel's fan-out
 // plus one clean decode per receiver. Two geometries, sorted differently by
 // the channel's receiver ordering:

@@ -17,6 +17,11 @@ double PathLossDb(double distance_m, double pl0_db,
   return pl0_db + 10.0 * path_loss_exponent * std::log10(d);
 }
 
+CaptureThreshold::CaptureThreshold(double sinr_db)
+    : sinr_db_(sinr_db),
+      lower_ratio_(DbmToMw(sinr_db - kGuardDb)),
+      upper_ratio_(DbmToMw(sinr_db + kGuardDb)) {}
+
 LogDistancePropagation::LogDistancePropagation(Params params)
     : params_(params), noise_floor_mw_(DbmToMw(params.noise_floor_dbm)) {}
 

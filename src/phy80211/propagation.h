@@ -15,6 +15,11 @@
 // The model is per-channel (one physical medium). Per-receiver channel
 // noise stays in LossModel — propagation decides who hears whom and who
 // wins an overlap; loss models add statistical corruption on top.
+//
+// Neither formula runs per PPDU. Positions do not move during a run, so the
+// channel evaluates each pair's receive power once and keeps it in mW
+// (WirelessChannel, wifi_phy.h), and CaptureThreshold judges SINR in the
+// linear domain without a logarithm.
 #ifndef SRC_PHY80211_PROPAGATION_H_
 #define SRC_PHY80211_PROPAGATION_H_
 
@@ -30,6 +35,48 @@ double MwToDbm(double mw);
 // geometry (detect radius, hidden-cluster spacing) can never silently
 // diverge from the loss model's SNR arithmetic.
 double PathLossDb(double distance_m, double pl0_db, double path_loss_exponent);
+
+// The capture verdict "MwToDbm(signal) - MwToDbm(noise) clears sinr_db",
+// judged as a ratio of powers. The log formula carries rounding error: each
+// MwToDbm is within a few ULPs of its value, so for powers this model
+// produces (|dBm| < 100) the difference lies within 1e-13 dB of the exact
+// 10 * log10(signal / noise), and within 4e-12 dB anywhere in the normal
+// double range. The ratio is within half an ULP of signal / noise (5e-16
+// dB), and the band edges 10^((T -+ kGuardDb) / 10) within a few ULPs of
+// their values. So a ratio below the lower edge means an SINR below
+// T - kGuardDb + 1e-14 dB, which the log formula also puts below T; above
+// the upper edge, both put it at or above T. Only a ratio inside the band,
+// where the two could disagree, runs the log formula: the verdict is the
+// log formula's, bit for bit, at the cost of one division.
+class CaptureThreshold {
+ public:
+  // Half-width of the band, in dB: far above the log formula's error.
+  static constexpr double kGuardDb = 1e-9;
+
+  explicit CaptureThreshold(double sinr_db);
+
+  // Exactly !(MwToDbm(signal_mw) - MwToDbm(noise_mw) < sinr_db()) for
+  // positive powers.
+  bool Captures(double signal_mw, double noise_mw) const {
+    double ratio = signal_mw / noise_mw;
+    if (ratio < lower_ratio_) {
+      return false;
+    }
+    if (ratio > upper_ratio_) {
+      return true;
+    }
+    return !(MwToDbm(signal_mw) - MwToDbm(noise_mw) < sinr_db_);
+  }
+
+  double sinr_db() const { return sinr_db_; }
+  double lower_ratio() const { return lower_ratio_; }
+  double upper_ratio() const { return upper_ratio_; }
+
+ private:
+  double sinr_db_;
+  double lower_ratio_;  // 10^((sinr_db - kGuardDb) / 10)
+  double upper_ratio_;  // 10^((sinr_db + kGuardDb) / 10)
+};
 
 class PropagationModel {
  public:
@@ -53,7 +100,8 @@ class PropagationModel {
 
   // Minimum SINR (dB) at which a PPDU sent at `mode` survives overlapping
   // energy — the capture threshold. Derived per mode: faster constellations
-  // need more SINR to capture.
+  // need more SINR to capture. The channel evaluates it once per mode and
+  // judges with CaptureThreshold.
   virtual double CaptureSinrDb(const WifiMode& mode) const = 0;
 };
 

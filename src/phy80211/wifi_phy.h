@@ -11,10 +11,13 @@
 //     behaviour.
 //   * range-limited (log-distance): each arrival accumulates the receive
 //     power of every transmission it overlapped; at arrival end the frame
-//     survives iff its SINR clears the mode's capture threshold. Receivers
-//     whose receive power sits below the energy-detection threshold get no
+//     survives iff its SINR clears the mode's capture threshold, judged in
+//     the linear domain (CaptureThreshold, propagation.h). Receivers whose
+//     receive power sits below the energy-detection threshold get no
 //     arrival edges at all — they neither decode nor carrier-sense the
-//     transmission (the hidden-terminal condition).
+//     transmission (the hidden-terminal condition). The channel computes
+//     each pair's receive power once per run, not once per PPDU (see
+//     WirelessChannel's power cache).
 //
 // Carrier sense (CCA) reports energy from any *detectable* arrival,
 // decodable or not.
@@ -89,10 +92,9 @@ class WifiPhy {
   void set_loss_model(std::unique_ptr<LossModel> model) {
     loss_model_ = std::move(model);
   }
-  void set_position(Position p) {
-    position_ = p;
-    has_position_ = true;
-  }
+  // Moving an attached radio updates the channel's copy of its position
+  // and clears the channel's cached receive powers.
+  void set_position(Position p);
   Position position() const { return position_; }
   // True once a position was explicitly assigned. Range-limited propagation
   // refuses PHYs still sitting at the implicit origin: a forgotten position
@@ -123,14 +125,19 @@ class WifiPhy {
   // until the matching end edge has returned; the PHY stores only a
   // pointer to it.
   void AttachTo(WirelessChannel* channel);
+  // `rx_power_mw` is the frame's receive power in milliwatts (any positive
+  // value on the fixed-loss channel, which never consults it).
   void OnArrivalStart(const Ppdu& ppdu, double distance_m,
-                      double rx_power_dbm);
+                      double rx_power_mw);
   void OnArrivalEnd(const Ppdu& ppdu);
   void OnOwnTxEnd(const Ppdu& ppdu);
 
   const PhyStats& stats() const { return stats_; }
 
  private:
+  // Attach links the radio to its channel and gives it its index there.
+  friend class WirelessChannel;
+
   struct Arrival {
     const Ppdu* ppdu;
     double distance_m;
@@ -156,6 +163,7 @@ class WifiPhy {
   std::unique_ptr<LossModel> loss_model_;
   Position position_;
   bool has_position_ = false;
+  uint32_t attach_idx_ = 0;  // this radio's index in channel_'s attach order
 
   // In-flight arrivals are arrivals_[head_, size), in start order. They
   // run deep in a saturated cell: on the 1000-station ring (fixed-loss,
@@ -237,10 +245,12 @@ class WirelessChannel {
       Scheduler* scheduler,
       ChannelDeliveryMode mode = ChannelDeliveryMode::kBatched)
       : scheduler_(scheduler), mode_(mode) {}
+  ~WirelessChannel();
 
   // Attaching the same PHY twice would double-deliver every PPDU; it is a
   // programming error and aborts. So is attaching a PHY without an explicit
-  // position while a range-limited propagation model is installed.
+  // position while a range-limited propagation model is installed, or one
+  // already attached to another channel.
   void Attach(WifiPhy* phy);
   size_t attached_count() const { return phys_.size(); }
 
@@ -268,12 +278,20 @@ class WirelessChannel {
   // scheduler events.
   std::vector<bool>& mpdu_verdicts() { return mpdu_verdicts_; }
 
+  // Above this many attached radios the channel keeps no power cache (16
+  // MB of pairs at the bound) and computes each pair's power per PPDU, so
+  // its memory stays linear in the radio count.
+  static constexpr size_t kMaxCachedRadios = 2048;
+
  private:
+  // WifiPhy reports moves through MovePhy and reads capture thresholds.
+  friend class WifiPhy;
+
   // One in-range receiver of a batched delivery.
   struct Receiver {
     WifiPhy* phy;
     double distance_m;
-    double rx_power_dbm;
+    double rx_power_mw;
     int64_t delay_ns;
     uint32_t attach_idx;
   };
@@ -293,6 +311,19 @@ class WirelessChannel {
               uint32_t end_hi) const;
   };
 
+  void MovePhy(uint32_t attach_idx, Position p);
+  // The capture threshold of `mode` under the installed model, evaluated
+  // once per mode and kept until the next set_propagation.
+  const CaptureThreshold& CaptureThresholdFor(const WifiMode& mode);
+  // Receive power in mW at radio `b` of a transmission from radio `a` (or
+  // the reverse: the model depends only on distance): 0 below energy
+  // detect.
+  double PairPowerMw(uint32_t a, uint32_t b) const;
+  // Calls visit(attach_idx, rx_power_mw) for every radio but `sender`, in
+  // attach order; rx_power_mw is 0 for a pair below energy detect, and 1.0
+  // (0 dBm) for every pair on the fixed-loss channel.
+  template <typename Visit>
+  void ForEachReceiver(uint32_t sender, Visit visit);
   void TransmitBatched(WifiPhy* sender, PpduRef ppdu, SimTime now,
                        SimTime duration);
   // Writes in_range_ into `out` in (delay, attach index) order. `in_range_`
@@ -308,6 +339,21 @@ class WirelessChannel {
       std::make_unique<FixedLossPropagation>();
   bool limits_range_ = false;
   std::vector<WifiPhy*> phys_;
+  // positions_[i] is phys_[i]'s position: the collection loop reads it
+  // from here rather than from each scattered WifiPhy.
+  std::vector<Position> positions_;
+  // The power cache: on a range-limited channel of at most
+  // kMaxCachedRadios radios, pair (i, j), i < j, holds PairPowerMw(i, j)
+  // at j * (j - 1) / 2 + i, or a negative value until first needed. 4 MB
+  // at 1001 radios, against 8 MB for the full matrix; a sender reads its
+  // own column (receivers below it) contiguously and the entries of the
+  // receivers above it at a stride, which the collection loop prefetches.
+  // Allocated by the first range-limited Transmit, so set-up never pays
+  // for it, and cleared by Attach, set_propagation and MovePhy. Its buffer
+  // outlives the channel as its thread's spare, which the thread's next
+  // channel takes over (see ~WirelessChannel).
+  std::vector<double> pair_mw_;
+  std::vector<std::pair<WifiMode, CaptureThreshold>> capture_thresholds_;
   uint64_t next_ppdu_id_ = 1;
   // The in-range receivers of the PPDU being sent, reused across PPDUs.
   std::vector<Receiver> in_range_;

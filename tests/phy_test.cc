@@ -658,6 +658,154 @@ TEST(WifiPhyTest, RandomCellCallbackOrderMatchesPerPhyDelivery) {
   }
 }
 
+// --- the channel's per-pair power cache ----------------------------------------
+
+constexpr ChannelDeliveryMode kBothModes[] = {ChannelDeliveryMode::kBatched,
+                                              ChannelDeliveryMode::kPerPhyEvent};
+
+// A log-distance cell: radio 0 at the origin and radios 5, 10 and 20 m out
+// along the x axis, all inside the 27.4 m energy-detect radius. One PPDU
+// from radio 0 fills the channel's power cache before a test changes the
+// geometry or the model.
+struct CacheCell {
+  explicit CacheCell(ChannelDeliveryMode mode) : channel(&sched, mode) {
+    for (double x : {0.0, 5.0, 10.0, 20.0}) {
+      Add({x, 0.0});
+    }
+    channel.set_propagation(std::make_unique<LogDistancePropagation>());
+    Send({0});
+  }
+  void Add(Position p) {
+    phys.push_back(std::make_unique<WifiPhy>(&sched, Random(phys.size() + 1)));
+    listeners.push_back(std::make_unique<RecordingListener>());
+    phys.back()->set_position(p);
+    phys.back()->set_listener(listeners.back().get());
+    phys.back()->AttachTo(&channel);
+  }
+  // The radios in `senders` transmit at the same instant.
+  void Send(std::initializer_list<size_t> senders) {
+    for (size_t i : senders) {
+      EXPECT_TRUE(phys[i]->Send(
+          MakeTestPpdu(MacAddress::ForStation(i), MacAddress::ForStation(0))));
+    }
+    sched.Run();
+  }
+  const RecordingListener& at(size_t i) const { return *listeners[i]; }
+
+  Scheduler sched;
+  WirelessChannel channel;
+  std::vector<std::unique_ptr<WifiPhy>> phys;
+  std::vector<std::unique_ptr<RecordingListener>> listeners;
+};
+
+TEST(PowerCacheTest, MovingAReceiverPastTheDetectRadiusPrunesIt) {
+  for (ChannelDeliveryMode mode : kBothModes) {
+    CacheCell cell(mode);
+    ASSERT_EQ(cell.at(3).received, 1);
+    ASSERT_EQ(cell.channel.airtime().out_of_range, 0u);
+    // 30 m out: below energy detect, so no callback of any kind.
+    cell.phys[3]->set_position({30.0, 0.0});
+    cell.Send({0});
+    EXPECT_EQ(cell.channel.airtime().out_of_range, 1u);
+    EXPECT_EQ(cell.at(3).received, 1);
+    EXPECT_EQ(cell.at(3).corrupted, 0);
+    EXPECT_EQ(cell.at(3).busy_edges, 1);
+    EXPECT_EQ(cell.at(2).received, 2);
+    // Back at 20 m it hears the sender again.
+    cell.phys[3]->set_position({20.0, 0.0});
+    cell.Send({0});
+    EXPECT_EQ(cell.channel.airtime().out_of_range, 1u);
+    EXPECT_EQ(cell.at(3).received, 2);
+  }
+}
+
+TEST(PowerCacheTest, NewPropagationParamsTakeEffectOnTheNextPpdu) {
+  for (ChannelDeliveryMode mode : kBothModes) {
+    CacheCell cell(mode);
+    // 10 dB less transmit power shrinks the detect radius to 14.2 m.
+    LogDistancePropagation::Params quiet;
+    quiet.tx_power_dbm = 5.0;
+    cell.channel.set_propagation(
+        std::make_unique<LogDistancePropagation>(quiet));
+    cell.Send({0});
+    EXPECT_EQ(cell.channel.airtime().out_of_range, 1u);
+    EXPECT_EQ(cell.at(3).received, 1);
+    EXPECT_EQ(cell.at(2).received, 2);
+  }
+}
+
+TEST(PowerCacheTest, NewCaptureMarginTakesEffectOnTheNextPpdu) {
+  for (ChannelDeliveryMode mode : kBothModes) {
+    CacheCell cell(mode);
+    // At the origin the 5 m frame beats the 10 m one by 10.5 dB: short of
+    // the 24 dB a 54 Mb/s frame needs by default, so both die.
+    cell.Send({1, 2});
+    EXPECT_EQ(cell.phys[0]->stats().overlap_losses, 2u);
+    EXPECT_EQ(cell.phys[0]->stats().captures, 0u);
+    // A 6 dB threshold lets the stronger frame capture.
+    LogDistancePropagation::Params lenient;
+    lenient.capture_margin_db = -15.0;
+    cell.channel.set_propagation(
+        std::make_unique<LogDistancePropagation>(lenient));
+    cell.Send({1, 2});
+    EXPECT_EQ(cell.phys[0]->stats().overlap_losses, 3u);
+    EXPECT_EQ(cell.phys[0]->stats().captures, 1u);
+  }
+}
+
+TEST(PowerCacheTest, AttachingARadioTakesEffectOnTheNextPpdu) {
+  for (ChannelDeliveryMode mode : kBothModes) {
+    CacheCell cell(mode);
+    cell.Add({3.0, 0.0});
+    cell.Send({0});
+    EXPECT_EQ(cell.at(4).received, 1);
+    // The new radio's own transmissions reach every other radio.
+    cell.Send({4});
+    EXPECT_EQ(cell.at(0).received, 1);
+    for (size_t i = 1; i < 4; ++i) {
+      EXPECT_EQ(cell.at(i).received, 3) << "radio " << i;
+    }
+    EXPECT_EQ(cell.channel.airtime().out_of_range, 0u);
+  }
+}
+
+// Above kMaxCachedRadios the channel computes every pair's power per PPDU
+// instead of caching it. Radios spread over a 40 m square (so some pairs
+// are pruned), two senders overlap and a third follows: the full callback
+// sequence must match between modes.
+TEST(PowerCacheTest, CellAboveTheRadioBoundMatchesPerPhyDelivery) {
+  Random rng(99);
+  std::vector<Position> positions;
+  for (size_t i = 0; i <= WirelessChannel::kMaxCachedRadios; ++i) {
+    positions.push_back({40.0 * rng.NextDouble(), 40.0 * rng.NextDouble()});
+  }
+  auto run = [&](ChannelDeliveryMode mode) {
+    OrderCell cell(mode, positions, /*geometric=*/true);
+    for (size_t sender : {0, 1}) {
+      EXPECT_TRUE(cell.phys[sender]->Send(MakeTestPpdu(
+          MacAddress::ForStation(sender), MacAddress::ForStation(2))));
+    }
+    cell.sched.Run();
+    EXPECT_TRUE(cell.phys[2]->Send(
+        MakeTestPpdu(MacAddress::ForStation(2), MacAddress::ForStation(0))));
+    cell.sched.Run();
+    uint64_t verdicts = 0;
+    for (const auto& phy : cell.phys) {
+      verdicts += phy->stats().captures + phy->stats().overlap_losses;
+    }
+    return std::tuple{cell.log, cell.channel.airtime(), verdicts};
+  };
+  auto [batched, batched_air, batched_verdicts] =
+      run(ChannelDeliveryMode::kBatched);
+  auto [per_phy, per_phy_air, per_phy_verdicts] =
+      run(ChannelDeliveryMode::kPerPhyEvent);
+  EXPECT_EQ(batched, per_phy);
+  EXPECT_EQ(batched_air, per_phy_air);
+  EXPECT_EQ(batched_verdicts, per_phy_verdicts);
+  EXPECT_GT(batched_air.out_of_range, 0u);
+  EXPECT_GT(batched_verdicts, 0u);
+}
+
 // --- receiver ordering: one, two and three counting passes -------------------
 
 // `fixed` first, then radios at seeded positions on a line `length_m` long

@@ -1,5 +1,6 @@
 // Geometric-channel tests: log-distance path-loss math, energy-detection
-// and capture-threshold boundaries, the scripted 3-node hidden-terminal
+// and capture-threshold boundaries, the linear-domain capture verdict
+// against the log formula, the scripted 3-node hidden-terminal
 // decode trace, and the construction-time validation that keeps legacy
 // (position-less) setups on the fixed-loss model.
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "src/phy80211/loss_model.h"
 #include "src/phy80211/propagation.h"
 #include "src/phy80211/wifi_phy.h"
+#include "src/sim/random.h"
 
 namespace hacksim {
 namespace {
@@ -65,6 +67,102 @@ TEST(PropagationMathTest, CaptureThresholdTracksMode) {
                        prop.params().capture_margin_db);
   // Faster constellations need more SINR to capture.
   EXPECT_LT(prop.CaptureSinrDb(slow), prop.CaptureSinrDb(fast));
+}
+
+// --- linear-domain capture verdict ------------------------------------------------
+
+// The verdict the PHY reached before CaptureThreshold: SINR in dB against
+// the mode's threshold.
+bool LogCaptures(double signal_mw, double noise_mw, double sinr_db) {
+  return !(MwToDbm(signal_mw) - MwToDbm(noise_mw) < sinr_db);
+}
+
+std::vector<WifiMode> AllModes() {
+  std::vector<WifiMode> modes(Modes80211a().begin(), Modes80211a().end());
+  modes.insert(modes.end(), Modes80211nExtended().begin(),
+               Modes80211nExtended().end());
+  return modes;
+}
+
+// A signal power whose ratio to `noise_mw` sits within a few ULPs of the
+// plain threshold 10^(T / 10), where comparing that ratio with it gives
+// the opposite verdict to the log formula; 0 when a scan of 4096 ULPs
+// either side finds none. A verdict without the log fallback inside the
+// guard band disagrees with the log formula here.
+double PlainRatioDisagreement(double noise_mw, double sinr_db) {
+  const double plain = DbmToMw(sinr_db);
+  const double start = noise_mw * plain;
+  for (double direction : {-1.0, 1.0}) {
+    double signal = start;
+    for (int step = 0; step < 4096; ++step) {
+      if (!(signal / noise_mw < plain) !=
+          LogCaptures(signal, noise_mw, sinr_db)) {
+        return signal;
+      }
+      signal = std::nextafter(signal, direction * HUGE_VAL);
+    }
+  }
+  return 0.0;
+}
+
+TEST(CaptureThresholdTest, BandEdgesSitGuardDbEitherSideOfTheThreshold) {
+  CaptureThreshold t(24.0);
+  EXPECT_EQ(t.sinr_db(), 24.0);
+  EXPECT_NEAR(MwToDbm(t.lower_ratio()), 24.0 - CaptureThreshold::kGuardDb,
+              1e-12);
+  EXPECT_NEAR(MwToDbm(t.upper_ratio()), 24.0 + CaptureThreshold::kGuardDb,
+              1e-12);
+}
+
+TEST(CaptureThresholdTest, LinearVerdictEqualsTheLogFormulaOnEveryMode) {
+  LogDistancePropagation prop;
+  Random rng(2024);
+  int modes_with_disagreement = 0;
+  for (const WifiMode& mode : AllModes()) {
+    SCOPED_TRACE(mode.Name());
+    const double sinr_db = prop.CaptureSinrDb(mode);
+    const CaptureThreshold t(sinr_db);
+    auto expect_log_verdict = [&](double signal_mw, double noise_mw) {
+      EXPECT_EQ(t.Captures(signal_mw, noise_mw),
+                LogCaptures(signal_mw, noise_mw, sinr_db))
+          << "signal " << signal_mw << " mW, noise " << noise_mw << " mW";
+    };
+    // Random pairs within 3 dB of the threshold, over noise-plus-
+    // interference powers from the noise floor to 40 dB above it.
+    int mismatches = 0;
+    for (int i = 0; i < 20000; ++i) {
+      double noise_mw = prop.noise_floor_mw() * DbmToMw(40 * rng.NextDouble());
+      double signal_mw =
+          noise_mw * DbmToMw(sinr_db + 6 * rng.NextDouble() - 3);
+      mismatches += t.Captures(signal_mw, noise_mw) !=
+                    LogCaptures(signal_mw, noise_mw, sinr_db);
+    }
+    EXPECT_EQ(mismatches, 0);
+    // Each band edge and one ULP either side of it; over 1 mW of noise the
+    // ratio is the signal power itself.
+    for (double edge : {t.lower_ratio(), t.upper_ratio()}) {
+      expect_log_verdict(std::nextafter(edge, 0.0), 1.0);
+      expect_log_verdict(edge, 1.0);
+      expect_log_verdict(std::nextafter(edge, HUGE_VAL), 1.0);
+    }
+    // Inside the band, where only the log formula decides.
+    for (int i = 0; i <= 64; ++i) {
+      double ratio =
+          t.lower_ratio() + (t.upper_ratio() - t.lower_ratio()) * i / 64;
+      expect_log_verdict(ratio * prop.noise_floor_mw(), prop.noise_floor_mw());
+    }
+    // Where comparing the ratio with 10^(T / 10) alone would be wrong.
+    for (double noise_mw : {prop.noise_floor_mw(), 1.0, 3.7e-7, 2.2e-9}) {
+      double signal_mw = PlainRatioDisagreement(noise_mw, sinr_db);
+      if (signal_mw > 0.0) {
+        expect_log_verdict(signal_mw, noise_mw);
+        ++modes_with_disagreement;
+        break;
+      }
+    }
+  }
+  // The scan finds such a pair for every mode with glibc's log10.
+  EXPECT_EQ(modes_with_disagreement, static_cast<int>(AllModes().size()));
 }
 
 TEST(PropagationMathTest, FixedLossHearsEverythingAndNeverCaptures) {
