@@ -24,9 +24,8 @@ constexpr uint32_t kPrefetchAhead = 24;
 // The largest power-cache buffer a channel on this thread has released,
 // kept for the thread's next channel. Freeing a block of megabytes once
 // per run raises glibc's dynamic mmap threshold, after which the allocator
-// keeps other freed blocks resident: on the 1000-station disk, peak RSS
-// rose by up to 5.2 MB for a 3.8 MB cache, and by the cache alone with the
-// buffer kept.
+// keeps other freed blocks resident and peak RSS grows by more than the
+// cache itself (docs/perf.md, "Geometric channel without libm").
 thread_local std::vector<double> spare_pair_mw;
 
 // Propagation delay, clamped to >= 1 ns so same-slot transmit decisions at
