@@ -34,38 +34,6 @@ void SerializeWithChecksum(const Ipv4Header& h, ByteWriter& writer,
   writer.WriteU32Be(h.dst.value());
 }
 
-std::optional<Ipv4Header> Deserialize20(ByteReader& reader) {
-  auto ver_ihl = reader.ReadU8();
-  if (!ver_ihl || *ver_ihl != 0x45) {
-    return std::nullopt;  // options unsupported by design
-  }
-  Ipv4Header h;
-  auto tos = reader.ReadU8();
-  auto total_length = reader.ReadU16Be();
-  auto identification = reader.ReadU16Be();
-  auto flags_frag = reader.ReadU16Be();
-  auto ttl = reader.ReadU8();
-  auto protocol = reader.ReadU8();
-  auto checksum = reader.ReadU16Be();
-  auto src = reader.ReadU32Be();
-  auto dst = reader.ReadU32Be();
-  if (!dst) {
-    return std::nullopt;
-  }
-  h.tos = *tos;
-  h.total_length = *total_length;
-  h.identification = *identification;
-  h.dont_fragment = (*flags_frag & 0x4000) != 0;
-  h.ttl = *ttl;
-  h.protocol = *protocol;
-  h.src = Ipv4Address(*src);
-  h.dst = Ipv4Address(*dst);
-  if (h.ComputeChecksum() != *checksum) {
-    return std::nullopt;
-  }
-  return h;
-}
-
 }  // namespace
 
 uint16_t Ipv4Header::ComputeChecksum() const {
@@ -76,10 +44,6 @@ uint16_t Ipv4Header::ComputeChecksum() const {
 
 void Ipv4Header::Serialize(ByteWriter& writer) const {
   SerializeWithChecksum(*this, writer, ComputeChecksum());
-}
-
-std::optional<Ipv4Header> Ipv4Header::Deserialize(ByteReader& reader) {
-  return Deserialize20(reader);
 }
 
 }  // namespace hacksim

@@ -1,12 +1,12 @@
-// IPv4 header (RFC 791), no options. Serialisation is byte-exact so that
-// packet sizes (and therefore airtimes and compression ratios) match the
-// paper's: a pure TCP ACK with timestamps is 20 + 32 = 52 bytes, exactly the
-// 471120 / 9060 bytes-per-ACK ratio in Table 2.
+// IPv4 header (RFC 791), no options. HeaderBytes() sizes packets, and so
+// airtimes and compression ratios, as the paper's: a pure TCP ACK with
+// timestamps is 20 + 32 = 52 bytes, exactly the 471120 / 9060 bytes-per-ACK
+// ratio in Table 2. Headers travel as structs; Serialize writes the RFC 791
+// bytes for tests to compare, and nothing parses them back.
 #ifndef SRC_NET_IPV4_HEADER_H_
 #define SRC_NET_IPV4_HEADER_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "src/net/address.h"
 #include "src/util/bitio.h"
@@ -31,9 +31,6 @@ struct Ipv4Header {
 
   // Serialises with a correct header checksum.
   void Serialize(ByteWriter& writer) const;
-
-  // Returns nullopt on truncation or checksum failure.
-  static std::optional<Ipv4Header> Deserialize(ByteReader& reader);
 
   // RFC 1071 ones'-complement sum over the 20-byte header with the checksum
   // field zeroed.

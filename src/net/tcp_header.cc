@@ -116,123 +116,4 @@ void TcpHeader::Serialize(ByteWriter& writer) const {
   }
 }
 
-std::optional<TcpHeader> TcpHeader::Deserialize(ByteReader& reader) {
-  TcpHeader h;
-  auto src_port = reader.ReadU16Be();
-  auto dst_port = reader.ReadU16Be();
-  auto seq = reader.ReadU32Be();
-  auto ack = reader.ReadU32Be();
-  auto offset_byte = reader.ReadU8();
-  auto flags = reader.ReadU8();
-  auto window = reader.ReadU16Be();
-  auto checksum = reader.ReadU16Be();
-  auto urgent = reader.ReadU16Be();
-  if (!urgent) {
-    return std::nullopt;
-  }
-  (void)checksum;
-  h.src_port = *src_port;
-  h.dst_port = *dst_port;
-  h.seq = *seq;
-  h.ack = *ack;
-  h.flag_fin = (*flags & 0x01) != 0;
-  h.flag_syn = (*flags & 0x02) != 0;
-  h.flag_rst = (*flags & 0x04) != 0;
-  h.flag_psh = (*flags & 0x08) != 0;
-  h.flag_ack = (*flags & 0x10) != 0;
-  h.window = *window;
-
-  size_t header_bytes = static_cast<size_t>(*offset_byte >> 4) * 4;
-  if (header_bytes < 20) {
-    return std::nullopt;
-  }
-  size_t options_len = header_bytes - 20;
-  auto options = reader.ReadBytes(options_len);
-  if (!options) {
-    return std::nullopt;
-  }
-  ByteReader opt(*options);
-  while (!opt.AtEnd()) {
-    auto kind = opt.ReadU8();
-    if (!kind) {
-      return std::nullopt;
-    }
-    if (*kind == kOptEnd) {
-      break;
-    }
-    if (*kind == kOptNop) {
-      continue;
-    }
-    auto len = opt.ReadU8();
-    if (!len || *len < 2) {
-      return std::nullopt;
-    }
-    size_t body = *len - 2;
-    switch (*kind) {
-      case kOptMss: {
-        if (body != 2) {
-          return std::nullopt;
-        }
-        auto v = opt.ReadU16Be();
-        if (!v) {
-          return std::nullopt;
-        }
-        h.mss = *v;
-        break;
-      }
-      case kOptWScale: {
-        if (body != 1) {
-          return std::nullopt;
-        }
-        auto v = opt.ReadU8();
-        if (!v) {
-          return std::nullopt;
-        }
-        h.window_scale = *v;
-        break;
-      }
-      case kOptSackPermitted: {
-        if (body != 0) {
-          return std::nullopt;
-        }
-        h.sack_permitted = true;
-        break;
-      }
-      case kOptTimestamps: {
-        if (body != 8) {
-          return std::nullopt;
-        }
-        auto tsval = opt.ReadU32Be();
-        auto tsecr = opt.ReadU32Be();
-        if (!tsecr) {
-          return std::nullopt;
-        }
-        h.timestamps = TcpTimestamps{*tsval, *tsecr};
-        break;
-      }
-      case kOptSack: {
-        if (body % 8 != 0 || body == 0) {
-          return std::nullopt;
-        }
-        for (size_t i = 0; i < body / 8; ++i) {
-          auto start = opt.ReadU32Be();
-          auto end = opt.ReadU32Be();
-          if (!end) {
-            return std::nullopt;
-          }
-          h.sack_blocks.push_back(SackBlock{*start, *end});
-        }
-        break;
-      }
-      default: {
-        if (!opt.Skip(body)) {
-          return std::nullopt;
-        }
-        break;
-      }
-    }
-  }
-  return h;
-}
-
 }  // namespace hacksim

@@ -2,8 +2,9 @@
 // MSS, window scale, SACK-permitted, SACK blocks (RFC 2018) and timestamps
 // (RFC 7323). The paper requires the compressed-ACK encoding to carry "the
 // full generality of information that may potentially be found in a TCP ACK"
-// — so this struct is the single source of truth that both the vanilla path
-// and the ROHC compress/decompress path must round-trip byte-identically.
+// — so this struct is the single source of truth: the ACK the ROHC
+// decompressor rebuilds must serialise to the vanilla ACK's bytes. Headers
+// travel as structs; nothing parses serialised bytes back.
 #ifndef SRC_NET_TCP_HEADER_H_
 #define SRC_NET_TCP_HEADER_H_
 
@@ -99,7 +100,6 @@ struct TcpHeader {
   size_t HeaderBytes() const;
 
   void Serialize(ByteWriter& writer) const;
-  static std::optional<TcpHeader> Deserialize(ByteReader& reader);
 
   // A "pure ACK" is what HACK may compress: ACK set, no payload implied by
   // caller, and no SYN/FIN/RST semantics.

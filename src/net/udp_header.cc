@@ -9,19 +9,4 @@ void UdpHeader::Serialize(ByteWriter& writer) const {
   writer.WriteU16Be(0);  // checksum optional in IPv4; not modelled
 }
 
-std::optional<UdpHeader> UdpHeader::Deserialize(ByteReader& reader) {
-  UdpHeader h;
-  auto src_port = reader.ReadU16Be();
-  auto dst_port = reader.ReadU16Be();
-  auto length = reader.ReadU16Be();
-  auto checksum = reader.ReadU16Be();
-  if (!checksum) {
-    return std::nullopt;
-  }
-  h.src_port = *src_port;
-  h.dst_port = *dst_port;
-  h.length = *length;
-  return h;
-}
-
 }  // namespace hacksim

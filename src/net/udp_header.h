@@ -1,10 +1,10 @@
 // UDP header (RFC 768). Used by the unidirectional CBR workload that gives
-// the paper its capacity yardstick (Figures 9 and 10).
+// the paper its capacity yardstick (Figures 9 and 10). Like the IPv4 and
+// TCP headers it is written out (Serialize) but never parsed.
 #ifndef SRC_NET_UDP_HEADER_H_
 #define SRC_NET_UDP_HEADER_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "src/util/bitio.h"
 
@@ -19,7 +19,6 @@ struct UdpHeader {
   size_t HeaderBytes() const { return kBytes; }
 
   void Serialize(ByteWriter& writer) const;
-  static std::optional<UdpHeader> Deserialize(ByteReader& reader);
 
   friend bool operator==(const UdpHeader&, const UdpHeader&) = default;
 };

@@ -1,5 +1,6 @@
 // The simulator's packet: a structured header stack plus a synthetic payload
-// length. Headers are real (serialisable, byte-exact); payload bytes are not
+// length. Headers are real structs with byte-exact sizes (tests compare
+// their serialised bytes; nothing parses them back); payload bytes are not
 // materialised — only their count matters for airtime, queueing and goodput.
 //
 // Packets are value types stored by value in queues and safe to retain for

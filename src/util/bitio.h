@@ -1,9 +1,10 @@
 // Byte-oriented little-helper writers/readers used by header serialisation
 // and the ROHC compressed-ACK wire format.
 //
-// Network headers use big-endian (network order) accessors; the ROHC payload
-// format (our design) uses little-endian for multi-byte deltas, matching the
-// convention documented in src/rohc/compressed_ack.h.
+// Network headers are written big-endian (network order) and never read
+// back; the ROHC payload format (our design), the only bytes the simulator
+// parses, uses little-endian for multi-byte deltas, matching the convention
+// documented in src/rohc/compressed_ack.h.
 #ifndef SRC_UTIL_BITIO_H_
 #define SRC_UTIL_BITIO_H_
 
@@ -50,7 +51,7 @@ class ByteWriter {
 };
 
 // Forward-only byte source. All reads return std::nullopt past the end,
-// letting deserialisers fail soft on truncated input.
+// letting the record parsers fail soft on truncated input.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const uint8_t> data) : data_(data) {}
@@ -60,25 +61,6 @@ class ByteReader {
       return std::nullopt;
     }
     return data_[pos_++];
-  }
-  std::optional<uint16_t> ReadU16Be() {
-    if (pos_ + 2 > data_.size()) {
-      return std::nullopt;
-    }
-    uint16_t v = static_cast<uint16_t>(data_[pos_] << 8 | data_[pos_ + 1]);
-    pos_ += 2;
-    return v;
-  }
-  std::optional<uint32_t> ReadU32Be() {
-    if (pos_ + 4 > data_.size()) {
-      return std::nullopt;
-    }
-    uint32_t v = (static_cast<uint32_t>(data_[pos_]) << 24) |
-                 (static_cast<uint32_t>(data_[pos_ + 1]) << 16) |
-                 (static_cast<uint32_t>(data_[pos_ + 2]) << 8) |
-                 static_cast<uint32_t>(data_[pos_ + 3]);
-    pos_ += 4;
-    return v;
   }
   std::optional<uint16_t> ReadU16Le() {
     if (pos_ + 2 > data_.size()) {
@@ -99,23 +81,7 @@ class ByteReader {
     pos_ += 4;
     return v;
   }
-  std::optional<std::span<const uint8_t>> ReadBytes(size_t n) {
-    if (pos_ + n > data_.size()) {
-      return std::nullopt;
-    }
-    auto out = data_.subspan(pos_, n);
-    pos_ += n;
-    return out;
-  }
-  bool Skip(size_t n) {
-    if (pos_ + n > data_.size()) {
-      return false;
-    }
-    pos_ += n;
-    return true;
-  }
 
-  size_t remaining() const { return data_.size() - pos_; }
   size_t position() const { return pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }
 

@@ -102,50 +102,6 @@ TEST(Ipv4HeaderTest, GoldenBytesChecksumFoldsCarries) {
   EXPECT_EQ(SerializedBytes(h), want);
 }
 
-TEST(Ipv4HeaderTest, RoundTrip) {
-  Ipv4Header h;
-  h.tos = 0x10;
-  h.total_length = 1512;
-  h.identification = 77;
-  h.dont_fragment = true;
-  h.ttl = 64;
-  h.protocol = kIpProtoTcp;
-  h.src = Ipv4Address::FromOctets(10, 0, 0, 1);
-  h.dst = Ipv4Address::FromOctets(10, 0, 2, 5);
-
-  ByteWriter w;
-  h.Serialize(w);
-  EXPECT_EQ(w.size(), Ipv4Header::kBytes);
-
-  ByteReader r(w.bytes());
-  auto parsed = Ipv4Header::Deserialize(r);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, h);
-}
-
-TEST(Ipv4HeaderTest, ChecksumValidatesCorruption) {
-  Ipv4Header h;
-  h.total_length = 40;
-  h.src = Ipv4Address::FromOctets(1, 1, 1, 1);
-  h.dst = Ipv4Address::FromOctets(2, 2, 2, 2);
-  ByteWriter w;
-  h.Serialize(w);
-  std::vector<uint8_t> bytes(w.bytes().begin(), w.bytes().end());
-  bytes[8] ^= 0xFF;  // corrupt TTL
-  ByteReader r(bytes);
-  EXPECT_FALSE(Ipv4Header::Deserialize(r).has_value());
-}
-
-TEST(Ipv4HeaderTest, TruncatedInputFails) {
-  Ipv4Header h;
-  h.src = Ipv4Address::FromOctets(1, 1, 1, 1);
-  ByteWriter w;
-  h.Serialize(w);
-  auto bytes = w.bytes();
-  ByteReader r(bytes.subspan(0, 10));
-  EXPECT_FALSE(Ipv4Header::Deserialize(r).has_value());
-}
-
 TEST(Ipv4HeaderTest, InternetChecksumKnownVector) {
   // RFC 1071 example: 00 01 f2 03 f4 f5 f6 f7 -> checksum 0x220d.
   uint8_t data[] = {0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7};
@@ -259,67 +215,6 @@ TEST(TcpHeaderTest, GoldenBytesEveryFlagMask) {
   }
 }
 
-TEST(TcpHeaderTest, RoundTripPlain) {
-  TcpHeader t = MakePlainAck();
-  ByteWriter w;
-  t.Serialize(w);
-  ByteReader r(w.bytes());
-  auto parsed = TcpHeader::Deserialize(r);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, t);
-}
-
-TEST(TcpHeaderTest, RoundTripSynWithAllOptions) {
-  TcpHeader t;
-  t.src_port = 5000;
-  t.dst_port = 6000;
-  t.seq = 0;
-  t.flag_syn = true;
-  t.window = 65535;
-  t.mss = 1460;
-  t.window_scale = 7;
-  t.sack_permitted = true;
-  t.timestamps = TcpTimestamps{1000, 0};
-  ByteWriter w;
-  t.Serialize(w);
-  EXPECT_EQ(w.size(), t.HeaderBytes());
-  EXPECT_LE(w.size(), 60u);
-  ByteReader r(w.bytes());
-  auto parsed = TcpHeader::Deserialize(r);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, t);
-}
-
-TEST(TcpHeaderTest, RoundTripSackBlocks) {
-  TcpHeader t = MakePlainAck();
-  t.timestamps = TcpTimestamps{11, 22};
-  t.sack_blocks = {{30000, 31460}, {35000, 36460}, {40000, 41460}};
-  ByteWriter w;
-  t.Serialize(w);
-  EXPECT_EQ(w.size(), t.HeaderBytes());
-  ByteReader r(w.bytes());
-  auto parsed = TcpHeader::Deserialize(r);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, t);
-}
-
-TEST(TcpHeaderTest, FlagsRoundTrip) {
-  for (int mask = 0; mask < 32; ++mask) {
-    TcpHeader t;
-    t.flag_fin = mask & 1;
-    t.flag_syn = mask & 2;
-    t.flag_rst = mask & 4;
-    t.flag_psh = mask & 8;
-    t.flag_ack = mask & 16;
-    ByteWriter w;
-    t.Serialize(w);
-    ByteReader r(w.bytes());
-    auto parsed = TcpHeader::Deserialize(r);
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, t) << "mask=" << mask;
-  }
-}
-
 TEST(TcpHeaderTest, PureAckShape) {
   TcpHeader t = MakePlainAck();
   EXPECT_TRUE(t.IsPureAckShape());
@@ -328,16 +223,6 @@ TEST(TcpHeaderTest, PureAckShape) {
   t.flag_syn = false;
   t.flag_fin = true;
   EXPECT_FALSE(t.IsPureAckShape());
-}
-
-TEST(TcpHeaderTest, TruncatedOptionsFail) {
-  TcpHeader t = MakePlainAck();
-  t.timestamps = TcpTimestamps{1, 2};
-  ByteWriter w;
-  t.Serialize(w);
-  auto bytes = w.bytes();
-  ByteReader r(bytes.subspan(0, bytes.size() - 4));
-  EXPECT_FALSE(TcpHeader::Deserialize(r).has_value());
 }
 
 // --- UDP --------------------------------------------------------------------------
@@ -351,20 +236,6 @@ TEST(UdpHeaderTest, GoldenBytes) {
   u.length = 1480;
   std::vector<uint8_t> want = {0x00, 0x07, 0x00, 0x09, 0x05, 0xc8, 0x00, 0x00};
   EXPECT_EQ(SerializedBytes(u), want);
-}
-
-TEST(UdpHeaderTest, RoundTrip) {
-  UdpHeader u;
-  u.src_port = 7;
-  u.dst_port = 9;
-  u.length = 1480;
-  ByteWriter w;
-  u.Serialize(w);
-  EXPECT_EQ(w.size(), UdpHeader::kBytes);
-  ByteReader r(w.bytes());
-  auto parsed = UdpHeader::Deserialize(r);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, u);
 }
 
 }  // namespace
