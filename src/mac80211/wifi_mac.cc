@@ -126,7 +126,7 @@ WifiMac::WifiMac(Scheduler* scheduler, WifiPhy* phy, MacAddress address,
     }
   }
   if (config_.standard == WifiStandard::k80211a) {
-    config_.enable_ampdu = false;
+    config_.enable_ampdu = false;  // 802.11a has no A-MPDU
   }
   rate_table_ = config_.standard == WifiStandard::k80211a ? Modes80211a()
                                                           : Modes80211n();

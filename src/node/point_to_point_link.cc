@@ -4,13 +4,10 @@
 
 namespace hacksim {
 
-PointToPointLink::PointToPointLink(Scheduler* scheduler, Config config)
-    : scheduler_(scheduler), config_(config) {}
-
 void PointToPointLink::SendFrom(int endpoint, Packet packet) {
   CHECK(endpoint == 0 || endpoint == 1);
   Direction& dir = dir_[endpoint];
-  if (dir.queue.size() >= config_.queue_limit_packets) {
+  if (dir.queue.size() >= kQueueLimitPackets) {
     ++drops_;
     return;
   }
@@ -27,8 +24,8 @@ void PointToPointLink::StartTransmission(int direction) {
   Packet packet = std::move(dir.queue.front());
   dir.queue.pop_front();
   double bits = static_cast<double>(packet.SizeBytes()) * 8.0;
-  SimTime serialization = SimTime::FromSecondsF(bits / config_.rate_bps);
-  SimTime arrival = serialization + config_.delay;
+  SimTime serialization = SimTime::FromSecondsF(bits / kRateBps);
+  SimTime arrival = serialization + kDelay;
   scheduler_->ScheduleIn(
       arrival,
       [this, direction, packet = std::move(packet)]() mutable {

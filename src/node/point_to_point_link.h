@@ -14,13 +14,11 @@ namespace hacksim {
 
 class PointToPointLink {
  public:
-  struct Config {
-    double rate_bps = 500e6;
-    SimTime delay = SimTime::Millis(1);
-    size_t queue_limit_packets = 1000;
-  };
+  static constexpr double kRateBps = 500e6;
+  static constexpr SimTime kDelay = SimTime::Millis(1);
+  static constexpr size_t kQueueLimitPackets = 1000;  // per direction
 
-  PointToPointLink(Scheduler* scheduler, Config config);
+  explicit PointToPointLink(Scheduler* scheduler) : scheduler_(scheduler) {}
 
   // Endpoint 0 and 1 receive callbacks.
   std::function<void(Packet)> deliver_to_0;
@@ -40,7 +38,6 @@ class PointToPointLink {
   void StartTransmission(int direction);
 
   Scheduler* scheduler_;
-  Config config_;
   Direction dir_[2];  // index = source endpoint
   uint64_t drops_ = 0;
 };

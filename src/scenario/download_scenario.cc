@@ -111,13 +111,12 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
 
   // --- channel / wired link ----------------------------------------------------
   WirelessChannel channel(&scheduler, config.channel_delivery);
-  PointToPointLink wired(&scheduler, PointToPointLink::Config{});
+  PointToPointLink wired(&scheduler);
 
   // --- MAC configs ----------------------------------------------------------------
   WifiMacConfig ap_mac_cfg;
   ap_mac_cfg.standard = config.standard;
   ap_mac_cfg.data_mode = data_mode;
-  ap_mac_cfg.enable_ampdu = config.standard == WifiStandard::k80211n;
   ap_mac_cfg.per_dest_queue_limit = config.ap_queue_per_client;
   ap_mac_cfg.txop_limit = config.txop_limit;
   ap_mac_cfg.extra_ack_delay = config.extra_ack_delay;
@@ -162,11 +161,7 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
   // --- clients ----------------------------------------------------------------------
   std::vector<ClientSpec> specs = config.clients;
   specs.resize(static_cast<size_t>(config.n_clients));
-  for (int i = 0; i < config.n_clients; ++i) {
-    if (specs[i].start_offset.IsZero()) {
-      specs[i].start_offset = config.start_stagger * i;
-    }
-  }
+  auto start_of = [&config](int i) { return config.start_stagger * i; };
 
   std::vector<ClientEndpoint> clients(config.n_clients);
   // Enqueue→delivery latency over every UDP sink and TCP receiving
@@ -293,7 +288,7 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
     src_cfg.model = ModelForStation(config.traffic_mix,
                                     static_cast<size_t>(i),
                                     static_cast<size_t>(config.n_clients));
-    src_cfg.start = specs[i].start_offset;
+    src_cfg.start = start_of(i);
     src_cfg.stop = config.duration;
     src_cfg.seed =
         DeriveRunSeed(config.seed, seed_base + static_cast<uint64_t>(i));
@@ -325,7 +320,7 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
         UdpCbrSource::Config src_cfg;
         src_cfg.rate_bps = config.udp_rate_bps / config.n_clients;
         src_cfg.payload_bytes = config.udp_payload_bytes;
-        src_cfg.start = specs[i].start_offset;
+        src_cfg.start = start_of(i);
         src_cfg.stop = config.duration;
         src_cfg.burst_window = config.udp_burst_window;
         ep.udp_source = std::make_unique<UdpCbrSource>(&scheduler, src_cfg,
@@ -387,7 +382,7 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
         ep.traffic_source->Start();
       }
       if (ep.tcp_tx != nullptr) {
-        scheduler.ScheduleAt(specs[i].start_offset,
+        scheduler.ScheduleAt(start_of(i),
                              [tx = ep.tcp_tx.get()]() { tx->Start(); });
       }
       ep.started = true;
@@ -582,7 +577,7 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
   }
 
   SimTime steady_from = specs.empty() ? SimTime::Zero()
-                                      : specs.back().start_offset +
+                                      : start_of(config.n_clients - 1) +
                                             SimTime::Seconds(2);
   if (steady_from >= end) {
     steady_from = SimTime::Nanos(end.ns() / 2);
@@ -607,7 +602,7 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
     } else {
       cr.goodput_mbps = static_cast<double>(cr.bytes_delivered) * 8.0 /
                         std::max<int64_t>(1, (measure_end -
-                                              specs[i].start_offset).ns()) *
+                                              start_of(i)).ns()) *
                         1e9 / 1e6;
       cr.completion_time = ep.completion;
       // ClientResult carries the client's own TCP end: the receiver on

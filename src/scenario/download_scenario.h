@@ -49,7 +49,6 @@ struct ClientSpec {
   // ignored when the SNR model is active.
   double bernoulli_data_loss = 0.0;
   double bernoulli_control_loss = 0.0;
-  SimTime start_offset;
 };
 
 struct ScenarioConfig {

@@ -46,12 +46,13 @@ inline constexpr SimTime kTcpRtoMax = SimTime::Seconds(60);
 // Timestamp clock granularity (Linux: 1 ms).
 inline constexpr SimTime kTcpTsGranularity = SimTime::Millis(1);
 
+// Advertised receive window: the 2014-era Linux default (tcp_rmem max
+// ~208-256 KB untuned). It bounds the slow-start overshoot into the AP's
+// 126-packet queue exactly as the paper's stacks did.
+inline constexpr uint32_t kTcpReceiveWindowBytes = 256 * 1024;
+
 struct TcpConfig {
   uint32_t mss = 1460;            // payload bytes per segment
-  // 2014-era Linux default (tcp_rmem max ~208-256 KB untuned): bounds the
-  // slow-start overshoot into the AP's 126-packet queue exactly as the
-  // paper's stacks did.
-  uint32_t receive_window_bytes = 256 * 1024;
 
   // DSCP/ToS stamped on every segment and ACK of the flow (both directions
   // use the same config). Under EDCA the MAC classifies it via AcForTos —

@@ -150,7 +150,7 @@ void TcpReceiver::OnDelackTimer() {
 }
 
 uint16_t TcpReceiver::AdvertisedWindowField() const {
-  uint32_t window_bytes = config_.receive_window_bytes;
+  uint32_t window_bytes = kTcpReceiveWindowBytes;
   if (window_override) {
     window_bytes = window_override(stats_.acks_sent);
   }

@@ -41,7 +41,7 @@ class TcpReceiver {
   std::function<void(uint64_t bytes)> on_data;
 
   // Test hook: overrides the advertised window (bytes) per ACK index; used
-  // to exercise ROHC's window-change encoding.
+  // to exercise ROHC's window-change encoding and a small-window flight.
   std::function<uint32_t(uint64_t ack_index)> window_override;
 
   bool established() const { return state_ == State::kEstablished; }

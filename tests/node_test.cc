@@ -20,26 +20,22 @@ Packet MakeUdp(Ipv4Address src, Ipv4Address dst, uint16_t dport,
   return Packet::MakeUdp(src, dst, 1111, dport, payload);
 }
 
+// The link is the paper's backhaul (§4.3): 500 Mb/s, so 16 ns per byte, a
+// 1 ms one-way delay and 1000 packets of queue per direction.
 TEST(PointToPointLinkTest, DeliversWithSerializationPlusDelay) {
   Scheduler sched;
-  PointToPointLink::Config cfg;
-  cfg.rate_bps = 8e6;  // 1 byte/us
-  cfg.delay = SimTime::Millis(1);
-  PointToPointLink link(&sched, cfg);
+  PointToPointLink link(&sched);
   SimTime arrival;
   link.deliver_to_1 = [&](Packet) { arrival = sched.Now(); };
-  // 1000-byte payload -> 1028-byte datagram -> 1028 us + 1000 us delay.
+  // 1000-byte payload -> 1028-byte datagram -> 16448 ns + 1 ms delay.
   link.SendFrom(0, MakeUdp(Ipv4Address(1), Ipv4Address(2), 9, 1000));
   sched.Run();
-  EXPECT_EQ(arrival, SimTime::Micros(1028 + 1000));
+  EXPECT_EQ(arrival, SimTime::Nanos(16448) + SimTime::Millis(1));
 }
 
 TEST(PointToPointLinkTest, SerializesBackToBack) {
   Scheduler sched;
-  PointToPointLink::Config cfg;
-  cfg.rate_bps = 8e6;
-  cfg.delay = SimTime::Zero();
-  PointToPointLink link(&sched, cfg);
+  PointToPointLink link(&sched);
   std::vector<SimTime> arrivals;
   link.deliver_to_1 = [&](Packet) { arrivals.push_back(sched.Now()); };
   for (int i = 0; i < 3; ++i) {
@@ -47,15 +43,15 @@ TEST(PointToPointLinkTest, SerializesBackToBack) {
   }
   sched.Run();
   ASSERT_EQ(arrivals.size(), 3u);
-  // Each 1000-byte datagram takes 1 ms on the wire, strictly serialized.
-  EXPECT_EQ(arrivals[0], SimTime::Millis(1));
-  EXPECT_EQ(arrivals[1], SimTime::Millis(2));
-  EXPECT_EQ(arrivals[2], SimTime::Millis(3));
+  // Each 1000-byte datagram takes 16 us on the wire, strictly serialized.
+  EXPECT_EQ(arrivals[0], SimTime::Micros(1016));
+  EXPECT_EQ(arrivals[1], SimTime::Micros(1032));
+  EXPECT_EQ(arrivals[2], SimTime::Micros(1048));
 }
 
 TEST(PointToPointLinkTest, FullDuplexDirectionsIndependent) {
   Scheduler sched;
-  PointToPointLink link(&sched, {});
+  PointToPointLink link(&sched);
   int at_0 = 0;
   int at_1 = 0;
   link.deliver_to_0 = [&](Packet) { ++at_0; };
@@ -69,18 +65,16 @@ TEST(PointToPointLinkTest, FullDuplexDirectionsIndependent) {
 
 TEST(PointToPointLinkTest, QueueLimitDrops) {
   Scheduler sched;
-  PointToPointLink::Config cfg;
-  cfg.queue_limit_packets = 5;
-  PointToPointLink link(&sched, cfg);
+  PointToPointLink link(&sched);
   int delivered = 0;
   link.deliver_to_1 = [&](Packet) { ++delivered; };
-  for (int i = 0; i < 20; ++i) {
+  for (int i = 0; i < 1020; ++i) {
     link.SendFrom(0, MakeUdp(Ipv4Address(1), Ipv4Address(2), 9, 1000));
   }
   sched.Run();
-  // One in flight + 5 queued survive.
-  EXPECT_EQ(delivered, 6);
-  EXPECT_EQ(link.drops(), 14u);
+  // One in flight + 1000 queued survive.
+  EXPECT_EQ(delivered, 1001);
+  EXPECT_EQ(link.drops(), 19u);
 }
 
 TEST(NodeTest, DeliversToRegisteredHandler) {
@@ -104,7 +98,7 @@ TEST(NodeTest, UnknownPortCountsAsDrop) {
 
 TEST(NodeTest, ForwardsViaP2pRoute) {
   Scheduler sched;
-  PointToPointLink link(&sched, {});
+  PointToPointLink link(&sched);
   Node ap(Ipv4Address::FromOctets(10, 0, 1, 1));
   ap.AttachP2p(&link, 1);
   ap.SetDefaultRoute(Node::Egress::kP2p, MacAddress());

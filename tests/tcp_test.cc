@@ -35,13 +35,13 @@ struct EmittedSegment {
 // Records every segment the sender emits, before any drop.
 class TcpPipe {
  public:
-  explicit TcpPipe(uint64_t bytes, TcpConfig config = {})
+  explicit TcpPipe(uint64_t bytes)
       : flow_{Ipv4Address::FromOctets(10, 0, 0, 1),
               Ipv4Address::FromOctets(10, 0, 2, 1), 5000, 6000, kIpProtoTcp},
-        sender(&sched, config, flow_,
+        sender(&sched, TcpConfig{}, flow_,
                [this](Packet p) { Forward(std::move(p), /*to_receiver=*/true); },
                bytes),
-        receiver(&sched, config, flow_, [this](Packet p) {
+        receiver(&sched, TcpConfig{}, flow_, [this](Packet p) {
           Forward(std::move(p), /*to_receiver=*/false);
         }) {}
 
@@ -333,9 +333,10 @@ TEST(TcpTest, WireFormatCarriesTimestampsAndSackPermitted) {
 }
 
 TEST(TcpTest, ReceiverWindowLimitsFlight) {
-  TcpConfig config;
-  config.receive_window_bytes = 16 * 1460;  // 16 segments
-  TcpPipe pipe(0, config);
+  TcpPipe pipe(0);
+  pipe.receiver.window_override = [](uint64_t) -> uint32_t {
+    return 16 * 1460;  // 16 segments
+  };
   pipe.sender.Start();
   pipe.sched.RunUntil(SimTime::Millis(200));
   // cwnd may grow, but flight can never exceed the advertised window.
