@@ -215,6 +215,22 @@ TEST(EdcaMacTest, PerAcQueuesDeliverEverythingAndCountPerAcPpdus) {
             stats.ppdus_sent);
 }
 
+TEST(EdcaMacTest, QueueDepthSumsEveryAcQueue) {
+  EdcaMacPair pair(150);
+  MacAddress b = MacAddress::ForStation(1);
+  const uint8_t kTos[] = {0xC0, 0xA0, 0x00, 0x20};  // VO, VI, BE, BK
+  for (uint32_t i = 0; i < 3; ++i) {
+    for (uint8_t tos : kTos) {
+      pair.mac_a->Enqueue(TaggedUdpPacket(400, tos), b);
+    }
+  }
+  // Nothing leaves before the scheduler runs: 3 packets in each AC queue.
+  EXPECT_EQ(pair.mac_a->QueueDepth(b), 12u);
+  pair.sched.RunUntil(SimTime::Millis(50));
+  ASSERT_EQ(pair.received_at_b.size(), 12u);
+  EXPECT_EQ(pair.mac_a->QueueDepth(b), 0u);
+}
+
 TEST(EdcaMacTest, SaturatedAcsSufferVirtualCollisionsButAllDelivers) {
   // VO and BE both saturated inside one MAC: their engines contend on the
   // same idle edges, so some grants land on the same nanosecond and the

@@ -82,6 +82,42 @@ TEST(MacTest, SingleFrameDelivery80211a) {
   EXPECT_EQ(pair.mac_b->stats().acks_sent, 1u);
 }
 
+// Corrupts the first `n` control-size frames (ACKs, CTSes) the radio
+// receives, then nothing.
+class DropFirstControlFrames final : public LossModel {
+ public:
+  explicit DropFirstControlFrames(int n) : left_(n) {}
+  bool ShouldCorrupt(const WifiMode&, size_t bytes, double,
+                     Random&) override {
+    if (bytes > BernoulliLossModel::kControlSizeThreshold || left_ == 0) {
+      return false;
+    }
+    --left_;
+    return true;
+  }
+
+ private:
+  int left_;
+};
+
+TEST(MacTest, RetryAfterLostAckIsDiscardedAndReAcked80211a) {
+  MacPair pair(WifiStandard::k80211a, 54);
+  pair.phy_a->set_loss_model(std::make_unique<DropFirstControlFrames>(1));
+  pair.mac_a->Enqueue(MakeUdpPacket(1000), MacAddress::ForStation(1));
+  pair.sched.RunUntil(SimTime::Millis(5));
+  // B delivered the frame and ACKed it; A lost that ACK and retried.
+  const MacStats& a = pair.mac_a->stats();
+  const MacStats& b = pair.mac_b->stats();
+  EXPECT_EQ(a.response_timeouts, 1u);
+  EXPECT_EQ(a.mpdus_delivered_retried, 1u);
+  // The retry is a duplicate: B discards it but ACKs it again.
+  ASSERT_EQ(pair.received_at_b.size(), 1u);
+  EXPECT_EQ(b.data_mpdus_received, 2u);
+  EXPECT_EQ(b.duplicate_mpdus_discarded, 1u);
+  EXPECT_EQ(b.acks_sent, 2u);
+  EXPECT_FALSE(pair.mac_a->HasBacklog());
+}
+
 TEST(MacTest, ManyFramesInOrder80211a) {
   MacPair pair(WifiStandard::k80211a, 54);
   for (uint32_t i = 0; i < 50; ++i) {
@@ -356,6 +392,19 @@ TEST(MacTest, SequenceWrapWithSteadyFeedCrossesModulo) {
   pair.sched.RunUntil(SimTime::Seconds(2));
   EXPECT_EQ(pair.mac_a->stats().queue_drops, 0u);
   EXPECT_EQ(pair.received_at_b.size(), kPackets);
+}
+
+TEST(MacTest, QueueDepthCountsAKnownDestinationsQueue) {
+  MacPair pair(WifiStandard::k80211n, 150);
+  MacAddress b = MacAddress::ForStation(1);
+  for (uint32_t i = 0; i < 5; ++i) {
+    pair.mac_a->Enqueue(MakeUdpPacket(1460), b);
+  }
+  // Nothing leaves before the scheduler runs.
+  EXPECT_EQ(pair.mac_a->QueueDepth(b), 5u);
+  pair.sched.RunUntil(SimTime::Millis(20));
+  ASSERT_EQ(pair.received_at_b.size(), 5u);
+  EXPECT_EQ(pair.mac_a->QueueDepth(b), 0u);
 }
 
 TEST(MacTest, UnknownDestinationQueriesAreNoOps) {

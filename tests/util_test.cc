@@ -1,6 +1,7 @@
 // Unit tests: MD5 (RFC 1321 vectors), ROHC CRC-3, byte IO, statistics.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -252,6 +253,29 @@ TEST(StatsTest, EmptyStatsAreZero) {
   EXPECT_EQ(s.count(), 0);
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.variance(), 0.0);
+}
+
+// Ci95HalfWidth feeds bench_scale's goodput_ci95_mbps column and the
+// campaign engine's confidence interval: t_{0.975, n-1} * stddev / sqrt(n).
+TEST(StatsTest, Ci95HalfWidthUsesStudentTThenNormal) {
+  RunningStats s;
+  EXPECT_EQ(s.Ci95HalfWidth(), 0.0);
+  s.Add(1.0);
+  EXPECT_EQ(s.Ci95HalfWidth(), 0.0);  // one sample: no interval
+  s.Add(3.0);
+  // n = 2: stddev sqrt(2) over sqrt(2) leaves t_{0.975, 1} alone.
+  EXPECT_NEAR(s.Ci95HalfWidth(), 12.706, 1e-12);
+
+  auto t_of = [](const RunningStats& r) {
+    return r.Ci95HalfWidth() * std::sqrt(static_cast<double>(r.count())) /
+           r.stddev();
+  };
+  while (s.count() < 31) {
+    s.Add(static_cast<double>(s.count() % 5));
+  }
+  EXPECT_NEAR(t_of(s), 2.042, 1e-12);  // n = 31, the table's last row
+  s.Add(4.0);
+  EXPECT_NEAR(t_of(s), 1.960, 1e-12);  // n = 32: the normal tail value
 }
 
 }  // namespace
