@@ -11,20 +11,25 @@ sanitizer-free build of hackbench/ in each checkout), then:
       --change C/.bench_build/hackbench/hackbench_runner \\
       --workload disk-uplink-rts-1000 --seed 1 --seconds 10 --pairs 6
 
-Per pair it prints each side's median host us/PPDU over the timed runs
-(the first timed run dropped, as run.py does), the change/parent ratio, the
+Each invocation is judged and measured by hackbench/run.py's own judge(),
+end_to_end() and first_runs(), so a run the benchmark counts as failed
+fails here too. Per pair it prints each side's host us/PPDU (the median
+over the timed runs, the first dropped), the change/parent ratio, the
 winner, each side's fastest set-up, peak RSS and the 1-minute load average
 before the pair. At the end it prints both sides' medians over the pairs
 with quartiles, the same for host ms per simulated second, and the change's
 win count.
 
-Exit status: 0 when every run judged clean, 1 when a runner failed (a
-nonzero exit, an aborted run, a repeat that was not BehaviourEquals) or the
-two sides' per-seed digests or cross-check rows differ, 2 on bad arguments.
-`--self-test` drives stub runners through each branch. Stdlib only.
+Exit status: 0 when every run judged clean, 1 when a runner exited nonzero,
+when judge() failed one of its runs (aborted, a missing key, CRC failures,
+zero bytes delivered, a repeat that was not BehaviourEquals, a cross-check
+that does not reproduce BENCH_scale.json), or when the two sides' per-seed
+digests or cross-check rows differ; 2 on bad arguments. `--self-test`
+drives stub runners through each branch. Stdlib only.
 """
 
 import argparse
+import importlib.util
 import io
 import json
 import os
@@ -34,6 +39,18 @@ import sys
 import tempfile
 
 XCHECK_KEYS = ("events", "ppdus", "goodput_mbps")
+
+
+def load_hackbench():
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "hackbench", "run.py")
+    spec = importlib.util.spec_from_file_location("hackbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+hackbench = load_hackbench()
 
 
 def run_once(runner, workload, seed, seconds, timeout_s):
@@ -57,35 +74,22 @@ def run_once(runner, workload, seed, seconds, timeout_s):
     problems = []
     if code != 0:
         problems.append("%s exited with %s" % (runner, code))
-    begun = {(r.get("of"), r.get("index")) for r in records
-             if r.get("kind") == "begin"}
-    done = {(r.get("kind"), r.get("index")) for r in records
-            if r.get("kind") in ("run", "setup", "xcheck")}
-    if begun - done:
-        problems.append("%s aborted %d run(s)" % (runner, len(begun - done)))
-    runs = [r for r in records if r.get("kind") == "run"]
-    if any(r.get("repeat_ok") is False for r in runs):
-        problems.append("%s: a repeat was not BehaviourEquals to its seed's "
-                        "first run" % runner)
-    timed = [r for r in runs if r.get("index", 0) >= 1 and r.get("ppdus")]
-    if not timed:
+    _, failures = hackbench.judge(records, hackbench.scale_row(workload))
+    problems += ["%s: %s %s: %s" % ((runner,) + f) for f in failures]
+    m = hackbench.end_to_end(records)
+    if m["host_us_per_ppdu"] is None or m["host_ms_per_sim_s"] is None:
         problems.append("%s reported no timed run" % runner)
         return None, problems
-    digests = {}
-    for r in runs:
-        digests.setdefault(r["seed_index"], r["digest"])
     xcheck = [r for r in records if r.get("kind") == "xcheck"]
-    setups = [r["wall_ns"] for r in records if r.get("kind") == "setup"]
-    end = [r for r in records if r.get("kind") == "end"]
     return {
-        "us_per_ppdu": statistics.median(
-            r["wall_ns"] / r["ppdus"] / 1e3 for r in timed),
-        "ms_per_sim_s": statistics.median(
-            r["wall_ns"] / 1e6 / r["sim_s"] for r in timed),
-        "setup_ms": min(setups) / 1e6 if setups else float("nan"),
-        "rss_mb": (end[0]["peak_rss_kb"] / 1024.0
-                   if end and "peak_rss_kb" in end[0] else float("nan")),
-        "digests": digests,
+        "us_per_ppdu": m["host_us_per_ppdu"],
+        "ms_per_sim_s": m["host_ms_per_sim_s"],
+        "setup_ms": (m["setup_s"] * 1e3 if m["setup_s"] is not None
+                     else float("nan")),
+        "rss_mb": (m["peak_rss_mb"] if m["peak_rss_mb"] is not None
+                   else float("nan")),
+        "digests": {r["seed_index"]: r["digest"]
+                    for r in hackbench.first_runs(records)},
         "xcheck": ({k: xcheck[0].get(k) for k in XCHECK_KEYS}
                    if xcheck else None),
     }, problems
@@ -166,20 +170,24 @@ def ab(args, out=sys.stdout):
 
 STUB = r'''#!/usr/bin/env python3
 import json, sys
-us, digest, events, code, abort = %r, %r, %r, %r, %r
+us, digest, events, code, abort, crc, keys = %r, %r, %r, %r, %r, %r, %r
 emit = lambda r: print(json.dumps(r))
+def record(**fields):
+    r = dict.fromkeys(keys, 0)
+    r.update(bytes=1000, digest=digest, repeat_ok=None, **fields)
+    return r
 for i in range(3):
     emit({"kind": "begin", "of": "run", "index": i})
     if abort and i == 2:
         sys.exit(134)
-    emit({"kind": "run", "index": i, "seed_index": max(i - 1, 0), "seed": 1,
-          "wall_ns": us * 1e3 * 100 * (3 if i == 0 else 1), "sim_s": 0.5,
-          "ppdus": 100, "digest": digest, "repeat_ok": None})
+    emit(record(kind="run", index=i, seed_index=max(i - 1, 0), seed=1,
+                wall_ns=us * 1e3 * 100 * (3 if i == 0 else 1), sim_s=0.5,
+                ppdus=100, crc_failures=crc if i == 1 else 0))
     emit({"kind": "begin", "of": "setup", "index": i})
-    emit({"kind": "setup", "index": i, "wall_ns": 1e6 + i})
+    emit({"kind": "setup", "index": i, "wall_ns": 1e6 + i, "crc_failures": 0})
 emit({"kind": "begin", "of": "xcheck", "index": 0})
-emit({"kind": "xcheck", "index": 0, "events": events, "ppdus": 100,
-      "goodput_mbps": 71.5})
+emit(record(kind="xcheck", index=0, events=events, ppdus=100,
+            goodput_mbps=71.5))
 emit({"kind": "end", "peak_rss_kb": 65536})
 sys.exit(code)
 '''
@@ -188,10 +196,12 @@ sys.exit(code)
 def self_test():
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
-        def stub(name, us, digest="d1", events=561000, code=0, abort=False):
+        def stub(name, us, digest="d1", events=561000, code=0, abort=False,
+                 crc=0):
             path = os.path.join(tmp, name)
             with open(path, "w") as f:
-                f.write(STUB % (us, digest, events, code, abort))
+                f.write(STUB % (us, digest, events, code, abort, crc,
+                                hackbench.RUN_KEYS))
             os.chmod(path, 0o755)
             return path
 
@@ -202,7 +212,9 @@ def self_test():
             ("runner exits nonzero", stub("exit", 150.0, code=3), 1,
              "exited with 3"),
             ("runner aborts a run", stub("abort", 150.0, abort=True), 1,
-             "aborted 1 run"),
+             "aborted before reporting"),
+            ("runner reports a CRC failure", stub("crc", 150.0, crc=2), 1,
+             "run 1: 2 CRC failures"),
             ("digest differs", stub("digest", 150.0, digest="d2"), 1,
              "digest d1 (parent) != d2 (change)"),
             ("cross-check differs", stub("xcheck", 150.0, events=1), 1,

@@ -19,9 +19,10 @@ to a function with `nm`. A function of the profiled executable is charged
 to a row of docs/architecture.md's layer map by the source path of the
 object file that defines it: CMake names each object after its source
 (CMakeFiles/<target>.dir/src/sim/scheduler.cc.o), so no debug info is
-needed. The objects are those on the executable's CMake link line, with
-every object of the static libraries there, so the executable must still
-sit in its build directory. A function that objects of several layers
+needed. The objects are those on the executable's CMake link line (its
+link.txt under the Makefile generators, its link edge in build.ninja under
+Ninja), with every object of the static libraries there, so the executable
+must still sit in its build tree. A function that objects of several layers
 define (an inline or template instantiation they share) counts as
 "other", and so does one that no object defines. A PC in a shared library
 (or the vDSO) is charged to that library, under its symbol, or "(after
@@ -142,24 +143,51 @@ def repo_sources():
     return index
 
 
-def linked_objects(exe):
-    """The object files CMake linked into `exe`, from its link.txt: its own
-    objects, plus every object of each static library it links."""
+def link_line(exe):
+    """(directory, tokens) of `exe`'s CMake link line, its paths relative to
+    that directory: link.txt beside the executable (Makefile generators),
+    else the executable's link edge and LINK_LIBRARIES in the build.ninja
+    at the top of its build tree (Ninja)."""
     build = os.path.dirname(exe)
     link = os.path.join(build, "CMakeFiles",
                         os.path.basename(exe) + ".dir", "link.txt")
-    if not os.path.exists(link):
-        return []
+    if os.path.exists(link):
+        with open(link) as f:
+            return build, f.read().split()
+    top = build
+    while not os.path.exists(os.path.join(top, "build.ninja")):
+        if os.path.dirname(top) == top:
+            return build, []
+        top = os.path.dirname(top)
+    with open(os.path.join(top, "build.ninja")) as f:
+        lines = f.read().replace("$\n", "").splitlines()
+    edge = "build %s:" % os.path.relpath(exe, top)
+    for i, line in enumerate(lines):
+        if line.startswith(edge):
+            tokens = line[len(edge):].split()[1:]  # after the rule name
+            for var in lines[i + 1:]:
+                if not var.startswith(" "):
+                    break
+                name, _, value = var.strip().partition(" = ")
+                if name == "LINK_LIBRARIES":
+                    tokens += value.split()
+            return top, tokens
+    return top, []
+
+
+def linked_objects(exe):
+    """The object files CMake linked into `exe`: its own objects, plus
+    every object of each static library it links."""
+    build, tokens = link_line(exe)
     objects = []
-    with open(link) as f:
-        for token in f.read().split():
-            path = os.path.join(build, token)
-            if token.endswith(".o"):
-                objects.append(path)
-            elif token.endswith(".a") and os.path.exists(path):
-                lib = os.path.basename(token)[3:-2]
-                objects += walk_objects(os.path.join(
-                    os.path.dirname(path), "CMakeFiles", lib + ".dir"))
+    for token in dict.fromkeys(tokens):
+        path = os.path.join(build, token)
+        if token.endswith(".o"):
+            objects.append(path)
+        elif token.endswith(".a") and os.path.exists(path):
+            lib = os.path.basename(token)[3:-2]
+            objects += walk_objects(os.path.join(
+                os.path.dirname(path), "CMakeFiles", lib + ".dir"))
     return objects
 
 
