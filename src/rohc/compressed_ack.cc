@@ -90,7 +90,9 @@ std::optional<CompressedAckRecord> CompressedAckRecord::Deserialize(
     auto seq = reader.ReadU32Le();
     auto ack = reader.ReadU32Le();
     auto window = reader.ReadU16Le();
-    if (!window) {
+    // A failed read consumes nothing, so the two-byte window read can
+    // succeed after a four-byte read failed: check all three.
+    if (!seq || !ack || !window) {
       return std::nullopt;
     }
     rec.seq = *seq;

@@ -103,6 +103,35 @@ TEST(CompressedAckTest, RecordRoundTripRefreshWithSack) {
   EXPECT_EQ(parsed->sack_blocks[1], (SackBlock{3000, 4000}));
 }
 
+TEST(CompressedAckTest, EveryTruncatedRecordIsRejected) {
+  // A bare refresh ends with seq, ack and window: cut inside ack, the
+  // window read still finds two bytes.
+  CompressedAckRecord refresh;
+  refresh.refresh = true;
+  refresh.seq = 111;
+  refresh.ack = 222;
+  refresh.window = 333;
+  CompressedAckRecord full = refresh;
+  full.refresh_has_ts = true;
+  full.tsval = 444;
+  full.tsecr = 555;
+  full.sack_blocks = {{1000, 2000}};
+  CompressedAckRecord delta;
+  delta.ack_mode = 3;
+  delta.ack_abs = 7;
+  delta.has_ts_delta = true;
+  delta.has_window = true;
+  for (const CompressedAckRecord& rec : {refresh, full, delta}) {
+    ByteWriter w;
+    rec.Serialize(w);
+    for (size_t len = 0; len < w.size(); ++len) {
+      ByteReader r(w.bytes().subspan(0, len));
+      EXPECT_FALSE(CompressedAckRecord::Deserialize(r).has_value())
+          << "bytes=" << w.size() << " len=" << len;
+    }
+  }
+}
+
 TEST(CompressedAckTest, StrideRecordIsThreeBytes) {
   // The paper: "3 bytes if the associated flow transmits a constant payload
   // size". Establish a stride, then check the steady-state record size.
